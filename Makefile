@@ -44,13 +44,14 @@ check-race:
 
 race: check-race
 
-# The delivery-robustness packages (retry/eviction fan-out paths and
-# the fault-injection harness) re-run race-pinned and named explicitly:
+# The delivery-robustness packages (the shared delivery engine, the
+# two stacks and the VO job-exit paths on it, and the fault-injection
+# harness) re-run race-pinned and named explicitly:
 # their semantics — exactly-once eviction, health-ledger locking — are
 # concurrency claims, and this step keeps them from hiding inside the
 # blanket race pass.
 race-delivery:
-	$(GO) test -race -count=1 ./internal/wsn ./internal/wse ./internal/faultinject
+	$(GO) test -race -count=1 ./internal/fanout ./internal/wsn ./internal/wse ./internal/gridbox ./internal/faultinject
 
 # One iteration of every benchmark: exercises the harnesses end to end
 # without asking CI for stable timings.

@@ -14,7 +14,9 @@ import (
 	"altstacks/internal/core"
 	"altstacks/internal/counter"
 	"altstacks/internal/experiments"
+	"altstacks/internal/fanout"
 	"altstacks/internal/gridbox"
+	"altstacks/internal/netlat"
 	"altstacks/internal/wsa"
 	"altstacks/internal/wse"
 	"altstacks/internal/xmldb"
@@ -42,8 +44,17 @@ func TestCounterAllScenarios(t *testing.T) {
 							t.Fatalf("%s prep: %v", op.Name, err)
 						}
 					}
-					if err := op.Run(); err != nil {
-						t.Fatalf("%s: %v", op.Name, err)
+					// Notify runs past the eviction threshold: a delivery
+					// booked as failed would be retried into a stale event,
+					// or evicted into none.
+					runs := 1
+					if op.Name == "Notify" {
+						runs = fanout.DefaultEvictAfter + 2
+					}
+					for i := 0; i < runs; i++ {
+						if err := op.Run(); err != nil {
+							t.Fatalf("%s run %d: %v", op.Name, i+1, err)
+						}
 					}
 				}
 			})
@@ -250,4 +261,132 @@ func TestStackNeutralWorkloadParity(t *testing.T) {
 	if results[core.StackWSRF] != 103 {
 		t.Fatalf("final value = %d, want 103", results[core.StackWSRF])
 	}
+}
+
+// TestSignedDeliveryAcks pins signed notification delivery. Consumer
+// endpoints are unsigned containers, so the producer must book their
+// acks as deliveries — no retry (which would duplicate the message),
+// no failure, no eviction — over more publishes than the eviction
+// threshold, on the counter and on both Grid-in-a-Box job-exit paths.
+func TestSignedDeliveryAcks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("PKI")
+	}
+	fix, err := core.NewFixture(container.SecuritySign, netlat.CoLocated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	publishes := fanout.DefaultEvictAfter + 2
+	// Job-exit notifications fan out after RunJob can return (its status
+	// poll may win), so wait for every delivery to settle.
+	settled := func(t *testing.T, stats func() fanout.Stats) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		st := stats()
+		for st.Deliveries+st.Failures < int64(publishes) && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+			st = stats()
+		}
+		if st.Deliveries != int64(publishes) || st.Retries != 0 || st.Failures != 0 || st.Evictions != 0 {
+			t.Fatalf("signed delivery stats %+v, want %d deliveries and no retry, failure or eviction", st, publishes)
+		}
+	}
+	spec := gridbox.JobSpec{
+		Application: "blast",
+		// Long enough for the job-exit subscription to land first.
+		Duration:    200 * time.Millisecond,
+		OutputFiles: map[string]string{"out.dat": "ok"},
+	}
+	sites := func(register func(gridbox.Site) error) {
+		for i := 0; i < publishes; i++ {
+			if err := register(gridbox.Site{Host: fmt.Sprintf("node-%d", i), Applications: []string{"blast"}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("counter", func(t *testing.T) {
+		c := fix.NewContainer()
+		svc := counter.InstallWSRF(c, xmldb.NewMemory(xmldb.CostModel{}), fix.NewNotifyClient())
+		base, err := c.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cl := &counter.WSRFClient{C: fix.NewClient(), Service: wsa.NewEPR(base + "/counter")}
+		epr, err := cl.Create(counter.Representation(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream, err := cl.SubscribeValueChanged(epr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stream.Cancel() //nolint:errcheck
+		for v := 1; v <= publishes; v++ {
+			if err := cl.Set(epr, counter.Representation(v)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case ev := <-stream.Events():
+				if got, err := counter.Value(ev.Message); err != nil || got != v {
+					t.Fatalf("Set %d delivered value %d (%v)", v, got, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("Set %d: notification never arrived", v)
+			}
+		}
+		settled(t, svc.Producer.DeliveryStats)
+	})
+
+	t.Run("gridbox-wsrf", func(t *testing.T) {
+		c := fix.NewContainer()
+		vo, err := gridbox.InstallWSRFVO(c, gridbox.WSRFVOConfig{
+			DB: xmldb.NewMemory(xmldb.CostModel{}), DataRoot: t.TempDir(),
+			Local: fix.NewLocalClient(), ReservationDelta: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		g := &gridbox.WSRFGridClient{C: fix.NewClient(), Base: c.BaseURL()}
+		if err := g.AddAccount(fix.ClientID.DN(), "run-jobs"); err != nil {
+			t.Fatal(err)
+		}
+		sites(g.RegisterSite)
+		for i := 0; i < publishes; i++ {
+			if _, err := g.RunJob(spec, nil, 10*time.Second); err != nil {
+				t.Fatalf("RunJob %d: %v", i+1, err)
+			}
+		}
+		settled(t, vo.Producer.DeliveryStats)
+	})
+
+	t.Run("gridbox-wst", func(t *testing.T) {
+		c := fix.NewContainer()
+		vo, err := gridbox.InstallWSTVO(c, gridbox.WSTVOConfig{
+			DB: xmldb.NewMemory(xmldb.CostModel{}), DataRoot: t.TempDir(), Local: fix.NewLocalClient(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		g := gridbox.NewWSTGridClient(fix.NewClient(), c.BaseURL(), "")
+		if _, err := g.CreateAccount(fix.ClientID.DN(), "run-jobs"); err != nil {
+			t.Fatal(err)
+		}
+		sites(func(s gridbox.Site) error { _, err := g.RegisterSite(s); return err })
+		for i := 0; i < publishes; i++ {
+			if _, err := g.RunJob(spec, nil, 10*time.Second); err != nil {
+				t.Fatalf("RunJob %d: %v", i+1, err)
+			}
+		}
+		settled(t, vo.Source.DeliveryStats)
+	})
 }

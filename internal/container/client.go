@@ -253,7 +253,11 @@ func (t connTraceTransport) RoundTrip(req *http.Request) (*http.Response, error)
 // notification path in the given mode. Both modes account connection
 // dials and reuses into the shared delivery metrics; DeliveryPooled
 // rides the base client's idle pool, DeliveryPerMessage closes after
-// every exchange (see WithoutKeepAlives).
+// every exchange (see WithoutKeepAlives). The client still signs what
+// it sends but does not verify the ack: consumers are plain endpoints
+// (the "custom HTTP server that clients include", §4.1.3) that answer
+// unsigned, and booking their acks as failures would retry — and
+// duplicate — every signed delivery until the subscription is evicted.
 func (c *Client) ForDelivery(mode DeliveryMode) *Client {
 	base := c.httpClient().Transport
 	if base == nil {
@@ -267,6 +271,7 @@ func (c *Client) ForDelivery(mode DeliveryMode) *Client {
 	hc.Transport = rt
 	cp := *c
 	cp.HTTP = &hc
+	cp.Verifier = nil
 	return &cp
 }
 

@@ -266,7 +266,13 @@ func (c *Container) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	env, err := soap.Parse(buf.Bytes())
 	if err != nil {
 		span.Fail(err)
-		c.writeFault(reqCtx, w, "", faultOf(err))
+		// A request that does not parse (malformed, or nested deeper than
+		// xmlutil.MaxDepth) is the sender's fault.
+		f, ok := err.(*soap.Fault)
+		if !ok {
+			f = soap.Faultf(soap.FaultClient, "%v", err)
+		}
+		c.writeFault(reqCtx, w, "", f)
 		return
 	}
 	info := wsa.Extract(env)

@@ -169,3 +169,22 @@ func TestOversizedRequestRejected(t *testing.T) {
 		t.Fatalf("server unhealthy after oversized request: %v", err)
 	}
 }
+
+// TestDeepNestingGetsClientFault pins the XML depth cap at the network
+// boundary: a body nested past xmlutil.MaxDepth is refused as the
+// sender's fault before any handler can walk it recursively.
+func TestDeepNestingGetsClientFault(t *testing.T) {
+	c, _ := startPlain(t)
+	depth := xmlutil.MaxDepth + 1
+	body := `<s:Envelope xmlns:s="` + soap.NS + `"><s:Body>` +
+		strings.Repeat("<d>", depth) + strings.Repeat("</d>", depth) +
+		`</s:Body></s:Envelope>`
+	resp, out := rawPost(t, c.BaseURL()+"/echo", body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+	env, err := soap.Parse([]byte(out))
+	if err != nil || !env.IsFault() || env.Fault.Code != soap.FaultClient {
+		t.Fatalf("expected a Client fault, got %q (%v)", out, err)
+	}
+}

@@ -182,18 +182,20 @@ func NewHello(sc core.Scenario, stack core.Stack, cost xmldb.CostModel) (*Hello,
 				// §4.1.3: "measure the duration to first set the value of
 				// the counter and then receive a message indicating that
 				// the counter value has changed".
+				// The event must carry the value just set: a stale or
+				// duplicate event (a retried delivery) fails the op.
 				notifyValue++
 				if err := cl.Set(notifyCounter, counter.Representation(notifyValue)); err != nil {
 					return err
 				}
-				deadline := time.After(10 * time.Second)
-				for {
-					select {
-					case <-stream.Events():
-						return nil
-					case <-deadline:
-						return fmt.Errorf("experiments: notification never arrived")
+				select {
+				case ev := <-stream.Events():
+					if got, err := counter.Value(ev.Message); err != nil || got != notifyValue {
+						return fmt.Errorf("experiments: notification carries value %d (%v), want %d", got, err, notifyValue)
 					}
+					return nil
+				case <-time.After(10 * time.Second):
+					return fmt.Errorf("experiments: notification never arrived")
 				}
 			}},
 	}

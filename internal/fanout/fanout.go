@@ -1,10 +1,11 @@
-// Package fanout is the bounded worker pool shared by the two stacks'
-// notification dispatch paths (wsn.Producer.Notify and
-// wse.Source.Publish). Both deliver one message to N matched
-// subscribers; delivery is network I/O, so overlapping the deliveries
-// — rather than paying N sequential round trips — is what makes
-// large fan-outs scale (the messaging-layer throughput the DIRAC and
-// EU DataGrid writeups identify as the lifeline of grid middleware).
+// Package fanout is the notification delivery engine both stacks run
+// (wsn.Producer.Notify and wse.Source.Publish; see Engine) and the
+// bounded worker pool under it. A publish delivers one message to N
+// matched subscribers; delivery is network I/O, so overlapping the
+// deliveries — rather than paying N sequential round trips — is what
+// makes large fan-outs scale (the messaging-layer throughput the DIRAC
+// and EU DataGrid writeups identify as the lifeline of grid
+// middleware).
 package fanout
 
 import (

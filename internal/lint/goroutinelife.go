@@ -11,7 +11,7 @@ import (
 // terminating call. Without one, the goroutine outlives its owner:
 // Shutdown can't reclaim it, soak runs count it as a leak, and the
 // timer/flusher it drives keeps firing into torn-down state. This is
-// the Coalescer/churn shape — every background loop in the tree pairs
+// the fault-churn driver's shape — every background loop in the tree pairs
 // with a Stop/Drain/ctx that closes it.
 //
 // One-shot goroutines (fire a delivery, post a result, exit) loop

@@ -51,7 +51,7 @@ func badNamedLoop(w *worker) {
 
 // --- clean ---
 
-// goodCtxLoop exits through the ctx.Done case — the Coalescer/churn
+// goodCtxLoop exits through the ctx.Done case — the fault-churn driver's
 // discipline.
 func goodCtxLoop(ctx context.Context, w *worker) {
 	go func() {

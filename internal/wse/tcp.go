@@ -210,28 +210,6 @@ func (d *TCPDeliverer) DeliverContext(ctx context.Context, addr string, env *soa
 	return err
 }
 
-// DeliverBatch writes several envelopes to addr as consecutive frames
-// in a single conn.Write — the coalesced delivery path. The sink reads
-// them as ordinary back-to-back frames, so a batch is wire-compatible
-// with the same envelopes sent one Deliver at a time.
-func (d *TCPDeliverer) DeliverBatch(ctx context.Context, addr string, envs []*soap.Envelope, timeout time.Duration) error {
-	buf := framePool.Get().(*bytes.Buffer)
-	buf.Reset()
-	var err error
-	for _, env := range envs {
-		if err = appendFrame(buf, env); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = d.send(ctx, addr, buf.Bytes(), timeout)
-	}
-	if buf.Cap() <= maxPooledFrame {
-		framePool.Put(buf)
-	}
-	return err
-}
-
 // send writes an already-framed payload to addr's channel.
 func (d *TCPDeliverer) send(ctx context.Context, addr string, frame []byte, timeout time.Duration) error {
 	ch := d.channel(addr)

@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"altstacks/internal/fanout"
 	"altstacks/internal/wsa"
 	"altstacks/internal/xmlutil"
 )
@@ -45,13 +46,6 @@ const (
 	// ActionEvent is the action events are delivered under; the topic
 	// rides in a wse:Topic header.
 	ActionEvent = "urn:altstacks:wse/Event"
-	// ActionEventBatch delivers several coalesced events in one push
-	// exchange: a wse:EventBatch body whose wse:Event children each
-	// carry their own Topic and Message. Like ActionEvent it is
-	// implementation-defined — WS-Eventing leaves delivery formats as an
-	// extension point. Single events keep using ActionEvent, so batching
-	// never changes the wire format of the unbatched path.
-	ActionEventBatch = "urn:altstacks:wse/EventBatch"
 )
 
 // Delivery modes. Push is the only spec-defined mode; modes are "an
@@ -115,25 +109,11 @@ func matchTopic(pattern, topic string) bool {
 }
 
 // SubscriptionHealth is the delivery-health record kept per
-// subscription: how many publishes in a row have failed to reach the
-// consumer, what the last failure looked like, and when delivery last
-// worked. It is persisted with the subscription (on transitions, not
-// on every success) so a restarted source resumes counting toward
-// eviction instead of granting a dead subscriber a fresh allowance.
-type SubscriptionHealth struct {
-	// ConsecutiveFailures counts failed publishes since the last
-	// successful delivery; any success resets it to zero.
-	ConsecutiveFailures int
-	LastError           string
-	LastSuccess         time.Time
-	LastFailure         time.Time
-}
-
-// IsZero reports a never-touched health record.
-func (h SubscriptionHealth) IsZero() bool {
-	return h.ConsecutiveFailures == 0 && h.LastError == "" &&
-		h.LastSuccess.IsZero() && h.LastFailure.IsZero()
-}
+// subscription. It is persisted with the subscription (on
+// transitions, not on every success) so a restarted source resumes
+// counting toward eviction instead of granting a dead subscriber a
+// fresh allowance.
+type SubscriptionHealth = fanout.Health
 
 // Subscription is one registered event consumer.
 type Subscription struct {

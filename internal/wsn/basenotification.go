@@ -11,8 +11,6 @@ import (
 
 	"altstacks/internal/container"
 	"altstacks/internal/fanout"
-	"altstacks/internal/obs"
-	"altstacks/internal/retry"
 	"altstacks/internal/soap"
 	"altstacks/internal/wsa"
 	"altstacks/internal/wsrf"
@@ -30,14 +28,6 @@ const (
 	ActionPause             = NSNT + "/PauseSubscription"
 	ActionResume            = NSNT + "/ResumeSubscription"
 	ActionGetCurrentMessage = NSNT + "/GetCurrentMessage"
-)
-
-// Default delivery-robustness knobs, applied by NewProducer.
-const (
-	DefaultMaxAttempts = 3
-	DefaultBaseBackoff = 25 * time.Millisecond
-	DefaultMaxBackoff  = 500 * time.Millisecond
-	DefaultEvictAfter  = 3
 )
 
 // Subscription is the decoded state of one subscription resource.
@@ -121,39 +111,14 @@ type Producer struct {
 	// (subscribe, pause, resume, destroy). The broker uses it to drive
 	// demand-based publishing.
 	OnChange func()
-	// Workers bounds the Notify delivery worker pool; 0 selects
-	// GOMAXPROCS. Width 1 forces the pre-overhaul sequential dispatch.
-	Workers int
-	// DeliveryTimeout caps each outbound delivery attempt so one slow
-	// consumer cannot stall a fan-out batch; 0 means no per-attempt cap.
-	DeliveryTimeout time.Duration
-	// Retry governs per-consumer delivery attempts within one Notify:
-	// exponential backoff with jitter between attempts. The zero policy
-	// performs a single attempt.
-	Retry retry.Policy
-	// EvictAfter destroys a subscription resource after this many
-	// consecutive failed publishes (each already retried per Retry) —
-	// the producer-side termination WS-BaseNotification expresses
-	// through the subscription's lifetime path. 0 disables eviction.
-	EvictAfter int
-	// MaxBatch and MaxBatchDelay tune coalescing on the Enqueue path:
-	// up to MaxBatch pending notifications flush to each subscriber as
-	// one multi-NotificationMessage envelope (one exchange, one
-	// signature), the first waiting at most MaxBatchDelay for the batch
-	// to fill. MaxBatch below 2 disables coalescing. Set both before
-	// the first Enqueue; the synchronous Notify path ignores them.
-	MaxBatch      int
-	MaxBatchDelay time.Duration
+	// Workers, DeliveryTimeout, Retry and EvictAfter govern delivery.
+	// Eviction Destroys the subscription resource — the producer-side
+	// termination WS-BaseNotification expresses through the
+	// subscription's lifetime path.
+	fanout.Policy
 
-	coalesceOnce sync.Once
-	coalescer    *fanout.Coalescer[topicMessage]
+	engine *fanout.Engine[*Subscription, notifyPrep]
 
-	sent atomic.Int64
-	// Per-subscription delivery health; transitions persist to the
-	// "<collection>-health" sibling collection (see delivery.go).
-	healthMu sync.Mutex
-	health   map[string]*SubscriptionHealth
-	stats    deliveryCounters
 	// lastMessage caches the most recent message per topic for the
 	// spec's GetCurrentMessage operation.
 	lastMu      sync.Mutex
@@ -189,13 +154,9 @@ func NewProducer(db *xmldb.DB, collection string, managerEndpoint func() string,
 		// pooled fast path and the paper-faithful per-message behavior
 		// (one-shot consumer HTTP servers, §4.1.3) without rewiring.
 		Deliver: deliver,
-		Retry: retry.Policy{
-			MaxAttempts: DefaultMaxAttempts,
-			BaseBackoff: DefaultBaseBackoff,
-			MaxBackoff:  DefaultMaxBackoff,
-		},
-		EvictAfter: DefaultEvictAfter,
+		Policy:  fanout.DefaultPolicy(),
 	}
+	p.engine = fanout.NewEngine[*Subscription, notifyPrep](deliveryMetrics, "wsn.notify", &p.Policy, time.Now, notifySeam{p})
 	// Unsubscribe (Destroy through the manager) must also recompute
 	// demand-based publishing state and drop the delivery ledger.
 	p.Subs.AfterDestroy = func(id string) {
@@ -204,11 +165,6 @@ func NewProducer(db *xmldb.DB, collection string, managerEndpoint func() string,
 	}
 	return p
 }
-
-// MessagesSent reports how many notification messages this producer
-// has pushed — the instrument behind the demand-publishing
-// amplification test.
-func (p *Producer) MessagesSent() int64 { return p.sent.Load() }
 
 // ProducerPortType exposes Subscribe on the producer's own service.
 func (p *Producer) ProducerPortType() wsrf.PortType { return producerPT{p} }
@@ -420,20 +376,14 @@ func (p *Producer) HasActiveSubscriber(topic string) bool {
 // and returns how many deliveries were made. Matching applies, in
 // order, the paused flag, the topic filter, the message-content
 // filter, and the producer-properties filter (paper §2.1 lists all
-// three filter kinds). A filter whose evaluation errors no longer
-// silently drops the subscriber from the fan-out: it is counted as a
-// delivery fault against that subscription (FilterErrors in the
+// three filter kinds). A filter whose evaluation errors is counted as
+// a delivery fault against that subscription (FilterErrors in the
 // stats), feeding the same health ledger — and eviction threshold —
-// as failed deliveries.
-// Matching runs up front on the caller's goroutine (filters touch
-// shared producer state and are cheap); the matched deliveries then
-// fan out over a bounded worker pool, since each one is an independent
-// HTTP exchange whose latency dominates the batch. Each delivery is
-// retried per the Retry policy; a subscriber that fails EvictAfter
-// consecutive publishes is evicted (its subscription resource
-// destroyed) so it stops taxing every subsequent fan-out. Delivery
-// count and first-error (in subscription order) semantics are
-// identical to the sequential dispatch this replaces.
+// as failed deliveries. Delivery, retry, health and eviction run on
+// the engine shared with WS-Eventing (fanout.Engine): matched
+// deliveries fan out over a bounded worker pool, and a subscriber that
+// fails EvictAfter consecutive publishes is evicted (its subscription
+// resource destroyed) so it stops taxing every subsequent fan-out.
 func (p *Producer) Notify(topic string, message *xmlutil.Element) (int, error) {
 	return p.NotifyContext(context.Background(), topic, message)
 }
@@ -444,226 +394,13 @@ func (p *Producer) Notify(topic string, message *xmlutil.Element) (int, error) {
 // does not wait out a retrying fan-out. Handlers must pass their
 // request context (container.Ctx.Context) here.
 func (p *Producer) NotifyContext(ctx context.Context, topic string, message *xmlutil.Element) (int, error) {
-	return p.notifyBatch(ctx, []topicMessage{{Topic: topic, Message: message}})
-}
-
-// topicMessage is one queued (topic, payload) pair on the notify path.
-type topicMessage struct {
-	Topic   string
-	Message *xmlutil.Element
-}
-
-// Enqueue queues a notification for coalesced asynchronous delivery
-// and returns immediately. Messages enqueued while earlier ones are
-// still in flight batch together per the MaxBatch/MaxBatchDelay knobs;
-// each subscriber then receives one multi-message Notify envelope
-// carrying exactly the subset of the batch its filters match. Delivery
-// outcomes surface through DeliveryStats and the health ledger, as on
-// the synchronous path. Call Flush to wait the queue out.
-func (p *Producer) Enqueue(topic string, message *xmlutil.Element) {
-	p.coalesceOnce.Do(p.initCoalescer)
-	p.coalescer.Add(topicMessage{Topic: topic, Message: message})
-}
-
-// Flush blocks until every notification queued by Enqueue before the
-// call has been delivered (or exhausted its retries).
-func (p *Producer) Flush() {
-	p.coalesceOnce.Do(p.initCoalescer)
-	p.coalescer.Drain()
-}
-
-func (p *Producer) initCoalescer() {
-	p.coalescer = &fanout.Coalescer[topicMessage]{
-		MaxBatch:      p.MaxBatch,
-		MaxBatchDelay: p.MaxBatchDelay,
-		Flush: func(batch []topicMessage) {
-			// Enqueued delivery is detached from any request by design —
-			// the enqueueing request completes before delivery runs.
-			//lint:ignore ogsalint/soapfault no caller remains for an async flush; per-subscriber outcomes land in DeliveryStats and the health ledger
-			p.notifyBatch(context.Background(), batch)
-		},
-	}
-}
-
-// sameMessages reports whether subset is the whole msgs slice (the
-// all-filters-matched fast path, detected by identity, not comparison).
-func sameMessages(subset, msgs []topicMessage) bool {
-	return len(subset) == len(msgs) && (len(msgs) == 0 || &subset[0] == &msgs[0])
-}
-
-// buildNotify wraps messages as one wsnt:Notify body, one
-// NotificationMessage child per message. With a single message the
-// output is byte-identical to the historical one-message envelope —
-// the wire-compatibility property the differential test pins — and
-// the consumer side iterates NotificationMessage children either way.
-func buildNotify(msgs []topicMessage) *xmlutil.Element {
-	n := xmlutil.New(NSNT, "Notify")
-	for _, m := range msgs {
-		n.Add(xmlutil.New(NSNT, "NotificationMessage").Add(
-			xmlutil.NewText(NSNT, "Topic", m.Topic).SetAttr("", "Dialect", DialectConcrete),
-			xmlutil.New(NSNT, "Message").Add(m.Message),
-		))
-	}
-	return n
-}
-
-// matchSubset returns the messages sub's filters accept. The
-// everything-matched case (by far the common one) returns msgs itself,
-// so steady-state fan-out allocates no per-subscriber slices.
-func (p *Producer) matchSubset(sub *Subscription, msgs []topicMessage) ([]topicMessage, error) {
-	var subset []topicMessage
-	allSoFar := true
-	for i, m := range msgs {
-		ok, err := p.matches(sub, m.Topic, m.Message)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			if !allSoFar {
-				subset = append(subset, m)
-			}
-		} else if allSoFar {
-			allSoFar = false
-			subset = append(subset, msgs[:i]...)
-		}
-	}
-	if allSoFar {
-		return msgs, nil
-	}
-	return subset, nil
-}
-
-// deliveryPlan is one subscriber's share of a notify batch.
-type deliveryPlan struct {
-	sub    *Subscription
-	subset []topicMessage
-	// wrapped is the prebuilt Notify body for subset (nil in raw mode).
-	wrapped *xmlutil.Element
-}
-
-// notifyBatch is the shared fan-out core behind NotifyContext (one
-// message) and the Enqueue coalescer (a batch). Matching runs per
-// message per subscriber, so a coalesced batch degrades gracefully to
-// filtered subscribers; delivery, retry, health, and eviction
-// semantics are identical to the single-message path, with one
-// exchange per subscriber regardless of batch size.
-func (p *Producer) notifyBatch(ctx context.Context, msgs []topicMessage) (int, error) {
-	// The notify span covers matching, current-message write-through,
-	// and the whole fan-out; deliver spans nest under it. A publish from
-	// a request handler joins that request's trace; a background publish
-	// roots its own.
-	ctx, nspan := obs.StartSpan(ctx, "wsn.notify")
-	nspan.SetAttr("topic", msgs[0].Topic)
-	if len(msgs) > 1 {
-		nspan.SetAttr("batch", fmt.Sprint(len(msgs)))
-	}
-	defer nspan.End()
 	p.lastMu.Lock()
 	if p.lastMessage == nil {
 		p.lastMessage = map[string]*xmlutil.Element{}
 	}
-	for _, m := range msgs {
-		p.lastMessage[m.Topic] = m.Message.Clone()
-	}
+	p.lastMessage[topic] = message.Clone()
 	p.lastMu.Unlock()
-	subs, err := p.Subscriptions()
-	if err != nil {
-		return 0, err
-	}
-	var matched []deliveryPlan
-	for _, sub := range subs {
-		subset, err := p.matchSubset(sub, msgs)
-		if err != nil {
-			p.stats.filterErrors.Add(1)
-			wsnFilterErrorsTotal.Inc()
-			p.recordFault(sub.ID, fmt.Errorf("wsn: filter evaluation for subscription %s: %w", sub.ID, err))
-			continue
-		}
-		if len(subset) == 0 {
-			continue
-		}
-		matched = append(matched, deliveryPlan{sub: sub, subset: subset})
-	}
-	if len(matched) == 0 {
-		return 0, nil
-	}
-	// WSRF.NET keeps all service state in the database, and the topic's
-	// current message (the GetCurrentMessage property) is state: each
-	// dispatched notification writes it through — an Update with no
-	// preceding read, mirroring the Set path's write-through cache.
-	// Demand applies as it does to dispatch itself: a publish no active
-	// subscription matches materializes nothing. With the subscription
-	// scan cached away, this write is where the paper's "dominated by
-	// Xindice" observation keeps holding on the Notify path (§4.1.3).
-	if len(msgs) == 1 {
-		p.storeCurrentMessage(msgs[0].Topic, msgs[0].Message)
-	} else {
-		// Batched publishes write through each message some subscriber
-		// received, in batch order, so the per-topic current message
-		// lands on the newest delivered one.
-		used := map[*xmlutil.Element]bool{}
-		for _, pl := range matched {
-			for _, m := range pl.subset {
-				used[m.Message] = true
-			}
-		}
-		for _, m := range msgs {
-			if used[m.Message] {
-				p.storeCurrentMessage(m.Topic, m.Message)
-			}
-		}
-	}
-
-	// One wrapped body serves every subscriber whose filters matched the
-	// whole batch (and raw subscribers get their payloads directly):
-	// soap.Envelope shares the body tree at marshal time, so reusing it
-	// across concurrent deliveries is safe and the old
-	// clone-per-subscriber is pure waste. Partial matches get their own
-	// subset body.
-	var wrappedAll *xmlutil.Element
-	for i := range matched {
-		pl := &matched[i]
-		if pl.sub.UseRaw {
-			continue
-		}
-		if sameMessages(pl.subset, msgs) {
-			if wrappedAll == nil {
-				wrappedAll = buildNotify(msgs)
-			}
-			pl.wrapped = wrappedAll
-		} else {
-			pl.wrapped = buildNotify(pl.subset)
-		}
-	}
-	client := p.Deliver.ForDelivery(p.Mode).WithTimeout(p.DeliveryTimeout)
-
-	nspan.SetAttr("matched", fmt.Sprint(len(matched)))
-	errs := make([]error, len(matched))
-	fanout.Do(len(matched), p.Workers, func(i int) {
-		pl := matched[i]
-		if err := p.deliverWithRetry(ctx, client, pl); err != nil {
-			errs[i] = err
-			p.stats.failures.Add(1)
-			wsnFailuresTotal.Inc()
-			p.recordFault(pl.sub.ID, err)
-			return
-		}
-		p.stats.deliveries.Add(1)
-		wsnDeliveriesTotal.Inc()
-		p.recordSuccess(pl.sub.ID)
-	})
-	delivered := 0
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		delivered++
-	}
-	return delivered, firstErr
+	return p.engine.Publish(ctx, topic, message)
 }
 
 // currentCollection is where per-topic current messages persist,
@@ -687,7 +424,7 @@ func (p *Producer) storeCurrentMessage(topic string, message *xmlutil.Element) {
 	// across a restart, so it is accounted rather than failing the
 	// publish.
 	if err := p.Subs.DB.Put(p.currentCollection(), topicDocID(topic), doc); err != nil {
-		p.noteStateWriteError(err)
+		p.engine.NoteStateWriteError(err)
 	}
 }
 
@@ -732,64 +469,6 @@ func (p *Producer) matches(sub *Subscription, topic string, message *xmlutil.Ele
 		}
 	}
 	return true, nil
-}
-
-// deliverWithRetry runs one subscriber's delivery under the producer's
-// retry policy. The sent counter moves once per notification message
-// (not per attempt or per exchange), preserving the
-// message-amplification semantics of MessagesSent across coalesced
-// batches; attempts and retries are accounted separately in the
-// delivery stats.
-func (p *Producer) deliverWithRetry(ctx context.Context, client *container.Client, pl deliveryPlan) error {
-	n := int64(len(pl.subset))
-	p.sent.Add(n)
-	wsnMessagesSentTotal.Add(n)
-	obs.DeliveryBatchSize.ObserveValue(float64(n))
-	if n > 1 {
-		p.stats.coalesced.Add(1)
-		wsnCoalescedTotal.Inc()
-	}
-	t0 := obs.Start()
-	dctx, dspan := obs.StartSpan(ctx, "wsn.deliver")
-	dspan.SetAttr("subscription", pl.sub.ID)
-	if n > 1 {
-		dspan.SetAttr("batch", fmt.Sprint(n))
-	}
-	attempts, err := retry.Do(dctx, p.Retry, func(actx context.Context) error {
-		return p.deliverOnce(actx, client, pl)
-	})
-	obs.StageDeliver.ObserveSinceSpan(t0, dspan)
-	p.stats.attempts.Add(int64(attempts))
-	wsnAttemptsTotal.Add(int64(attempts))
-	if attempts > 1 {
-		p.stats.retries.Add(int64(attempts - 1))
-		wsnRetriesTotal.Add(int64(attempts - 1))
-		dspan.Annotate(fmt.Sprintf("retried: %d attempts", attempts))
-		obs.RecordEventCtx(dctx, "wsn.retry",
-			obs.Attr{K: "subscription", V: pl.sub.ID},
-			obs.Attr{K: "attempts", V: fmt.Sprint(attempts)})
-	}
-	dspan.Fail(err)
-	dspan.End()
-	return err
-}
-
-func (p *Producer) deliverOnce(ctx context.Context, client *container.Client, pl deliveryPlan) error {
-	if pl.sub.UseRaw {
-		// Raw delivery: each payload is posted bare, one exchange per
-		// message — there is no envelope to carry a batch in. The paper
-		// flags this mode as an interoperability hazard ("the information
-		// passed with a notification … is not well-defined", §3.1); it is
-		// provided for completeness.
-		for _, m := range pl.subset {
-			if _, err := client.CallContext(ctx, pl.sub.Consumer, ActionNotify, m.Message); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	_, err := client.CallContext(ctx, pl.sub.Consumer, ActionNotify, pl.wrapped)
-	return err
 }
 
 // SubscribeOptions parameterizes a client-side Subscribe call.

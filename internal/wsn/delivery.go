@@ -1,5 +1,6 @@
-// Delivery robustness for the WS-Notification producer: per-subscription
-// health tracking, retry accounting, and dead-subscriber eviction.
+// The WS-Notification side of the shared delivery engine
+// (fanout.Engine): how a Notify is matched, put on the wire, ended and
+// remembered.
 //
 // WS-BaseNotification has no SubscriptionEnd message; a producer that
 // gives up on a subscriber terminates the subscription through its
@@ -12,227 +13,100 @@
 package wsn
 
 import (
+	"context"
 	"errors"
 	"strconv"
-	"sync/atomic"
 	"time"
 
-	"altstacks/internal/obs"
+	"altstacks/internal/container"
+	"altstacks/internal/fanout"
 	"altstacks/internal/xmldb"
 	"altstacks/internal/xmlutil"
 )
 
-// Registry mirrors of the delivery counters, aggregated across every
-// Producer instance; DeliveryStats stays the per-instance view.
-var (
-	wsnAttemptsTotal = obs.NewCounter("ogsa_wsn_delivery_attempts_total", "",
-		"wsn delivery attempts, retries included")
-	wsnRetriesTotal = obs.NewCounter("ogsa_wsn_retries_total", "",
-		"wsn delivery attempts beyond the first per delivery")
-	wsnDeliveriesTotal = obs.NewCounter("ogsa_wsn_deliveries_total", "",
-		"wsn notifications that reached a consumer")
-	wsnFailuresTotal = obs.NewCounter("ogsa_wsn_delivery_failures_total", "",
-		"wsn deliveries whose attempts were exhausted")
-	wsnFilterErrorsTotal = obs.NewCounter("ogsa_wsn_filter_errors_total", "",
-		"wsn subscriptions skipped by a failing filter evaluation")
-	wsnEvictionsTotal = obs.NewCounter("ogsa_wsn_evictions_total", "",
-		"wsn subscriptions destroyed for delivery failure")
-	wsnStateWriteErrorsTotal = obs.NewCounter("ogsa_wsn_state_write_errors_total", "",
-		"failed writes of wsn producer persistence")
-	wsnMessagesSentTotal = obs.NewCounter("ogsa_wsn_messages_sent_total", "",
-		"notification messages sent by wsn producers")
-	wsnCoalescedTotal = obs.NewCounter("ogsa_wsn_coalesced_batches_total", "",
-		"wsn deliveries that carried more than one coalesced message")
-)
+// deliveryMetrics are the ogsa_wsn_* delivery counters, aggregated
+// across every Producer; DeliveryStats stays the per-instance view.
+var deliveryMetrics = fanout.NewMetrics("wsn", false)
 
-// SubscriptionHealth is the per-subscription delivery ledger:
-// consecutive failed publishes (retries exhausted), the last error,
-// and the last success/failure instants. Any successful delivery
-// resets the failure count, so a flaky-but-recovering consumer is
-// never evicted.
-type SubscriptionHealth struct {
-	ConsecutiveFailures int
-	LastError           string
-	LastSuccess         time.Time
-	LastFailure         time.Time
-}
+// SubscriptionHealth is the per-subscription delivery ledger.
+type SubscriptionHealth = fanout.Health
 
-// DeliveryStats is a snapshot of a producer's delivery counters.
-type DeliveryStats struct {
-	// Attempts counts individual delivery attempts, retries included.
-	Attempts int64
-	// Retries counts attempts beyond the first per delivery.
-	Retries int64
-	// Deliveries counts notifications that reached a consumer.
-	Deliveries int64
-	// Failures counts deliveries whose attempts were exhausted.
-	Failures int64
-	// FilterErrors counts subscriptions skipped by a failing filter
-	// evaluation — previously a silent vanish from the fan-out, now a
-	// counted delivery fault.
-	FilterErrors int64
-	// Evictions counts subscriptions destroyed for delivery failure.
-	Evictions int64
-	// StateWriteErrors counts failed writes of producer persistence —
-	// health records and per-topic current messages. The in-memory
-	// state stays authoritative when the backing store misbehaves, so
-	// these do not fail the triggering publish; they surface here (and
-	// feed back into recovery behavior after a restart).
-	StateWriteErrors int64
-	// CoalescedBatches counts deliveries that carried more than one
-	// message in a single exchange (the Enqueue path's batching at
-	// work). Deliveries still counts exchanges, MessagesSent messages.
-	CoalescedBatches int64
-}
-
-type deliveryCounters struct {
-	attempts, retries, deliveries, failures, filterErrors, evictions, stateWriteErrors, coalesced atomic.Int64
-}
+// DeliveryStats is a snapshot of a producer's delivery counters
+// (EndNoticeErrors stays 0: WS-BaseNotification has no end notice).
+type DeliveryStats = fanout.Stats
 
 // DeliveryStats snapshots the producer's delivery counters.
-func (p *Producer) DeliveryStats() DeliveryStats {
-	return DeliveryStats{
-		Attempts:         p.stats.attempts.Load(),
-		Retries:          p.stats.retries.Load(),
-		Deliveries:       p.stats.deliveries.Load(),
-		Failures:         p.stats.failures.Load(),
-		FilterErrors:     p.stats.filterErrors.Load(),
-		Evictions:        p.stats.evictions.Load(),
-		StateWriteErrors: p.stats.stateWriteErrors.Load(),
-		CoalescedBatches: p.stats.coalesced.Load(),
-	}
-}
-
-// noteStateWriteError accounts a failed persistence write. The write
-// targets a cache of in-memory state, so the caller's operation
-// proceeds; the count is the signal that the xmldb backend is dropping
-// producer state. Callers pass the (non-nil) error for call-site
-// clarity; only the count is kept.
-func (p *Producer) noteStateWriteError(error) {
-	p.stats.stateWriteErrors.Add(1)
-	wsnStateWriteErrorsTotal.Inc()
-}
+func (p *Producer) DeliveryStats() DeliveryStats { return p.engine.Stats() }
 
 // Health returns the current delivery-health record for a
 // subscription (zero record for unknown or never-delivered ids).
-func (p *Producer) Health(id string) SubscriptionHealth {
-	p.healthMu.Lock()
-	defer p.healthMu.Unlock()
-	return *p.healthEntry(id)
+func (p *Producer) Health(id string) SubscriptionHealth { return p.engine.Health(id) }
+
+// MessagesSent reports how many notification messages this producer
+// has pushed — the instrument behind the demand-publishing
+// amplification test.
+func (p *Producer) MessagesSent() int64 { return p.engine.MessagesSent() }
+
+// notifyPrep is what every delivery of one Notify shares: the client
+// for the producer's Mode, and the payload both bare (raw mode) and
+// wrapped. soap.Envelope shares the body tree at marshal time, so one
+// wrapped body serves every concurrent delivery.
+type notifyPrep struct {
+	client           *container.Client
+	payload, wrapped *xmlutil.Element
 }
 
-// healthCollection is where health records persist, beside the
-// subscription collection (like the "-current" message collection).
-func (p *Producer) healthCollection() string { return p.Subs.Collection + "-health" }
+// notifySeam adapts a Producer to fanout.Seam.
+type notifySeam struct{ p *Producer }
 
-// healthEntry returns (seeding from the database if a persisted record
-// exists) the mutable health record for id. Callers hold healthMu.
-func (p *Producer) healthEntry(id string) *SubscriptionHealth {
-	if p.health == nil {
-		p.health = map[string]*SubscriptionHealth{}
-	}
-	h, ok := p.health[id]
-	if !ok {
-		seed := p.loadHealth(id)
-		h = &seed
-		p.health[id] = h
-	}
-	return h
+func (s notifySeam) Subscriptions() ([]*Subscription, error) { return s.p.Subscriptions() }
+
+func (notifySeam) ID(sub *Subscription) string { return sub.ID }
+
+func (s notifySeam) Match(sub *Subscription, topic string, msg *xmlutil.Element, _ time.Time) (bool, error) {
+	return s.p.matches(sub, topic, msg)
 }
 
-// dropHealth forgets a subscription's ledger in memory and on disk;
-// wired to AfterDestroy so unsubscribes and evictions both clean up.
-func (p *Producer) dropHealth(id string) {
-	p.healthMu.Lock()
-	delete(p.health, id)
-	p.healthMu.Unlock()
-	if p.Subs != nil && p.Subs.DB != nil {
-		// A subscription whose health was never persisted has nothing to
-		// delete; only real backend failures count.
-		if err := p.Subs.DB.Delete(p.healthCollection(), id); err != nil && !errors.Is(err, xmldb.ErrNotFound) {
-			p.noteStateWriteError(err)
-		}
-	}
-}
-
-// recordSuccess resets the failure count; persistence happens only on
-// a recovery transition, so healthy steady-state Notify performs no
-// health writes.
-func (p *Producer) recordSuccess(id string) {
-	now := time.Now()
-	p.healthMu.Lock()
-	h := p.healthEntry(id)
-	recovered := h.ConsecutiveFailures != 0 || h.LastError != ""
-	h.ConsecutiveFailures = 0
-	h.LastError = ""
-	h.LastSuccess = now
-	snap := *h
-	p.healthMu.Unlock()
-	if recovered {
-		p.persistHealth(id, snap)
+func (s notifySeam) Prepare(topic string, msg *xmlutil.Element) notifyPrep {
+	p := s.p
+	// WSRF.NET keeps all service state in the database, and the topic's
+	// current message (the GetCurrentMessage property) is state: each
+	// dispatched notification writes it through — an Update with no
+	// preceding read, mirroring the Set path's write-through cache.
+	// Demand applies as it does to dispatch itself: a publish no active
+	// subscription matches materializes nothing. With the subscription
+	// scan cached away, this write is where the paper's "dominated by
+	// Xindice" observation keeps holding on the Notify path (§4.1.3).
+	p.storeCurrentMessage(topic, msg)
+	return notifyPrep{
+		client:  p.Deliver.ForDelivery(p.Mode).WithTimeout(p.DeliveryTimeout),
+		payload: msg,
+		wrapped: buildNotify(topic, msg),
 	}
 }
 
-// recordFault counts one failed publish (delivery exhaustion or filter
-// evaluation error) against the subscription and evicts it once the
-// consecutive-failure count reaches EvictAfter.
-func (p *Producer) recordFault(id string, cause error) {
-	now := time.Now()
-	p.healthMu.Lock()
-	h := p.healthEntry(id)
-	h.ConsecutiveFailures++
-	h.LastError = cause.Error()
-	h.LastFailure = now
-	evict := p.EvictAfter > 0 && h.ConsecutiveFailures >= p.EvictAfter
-	snap := *h
-	p.healthMu.Unlock()
-	obs.RecordEvent("wsn.delivery_fault",
-		obs.Attr{K: "subscription", V: id},
-		obs.Attr{K: "consecutive", V: strconv.Itoa(snap.ConsecutiveFailures)},
-		obs.Attr{K: "err", V: cause.Error()})
-	p.persistHealth(id, snap)
-	if evict {
-		p.evict(id)
+// Send posts one Notify. Raw subscribers get the bare payload — the
+// mode the paper flags as an interoperability hazard ("the information
+// passed with a notification … is not well-defined", §3.1).
+func (notifySeam) Send(ctx context.Context, sub *Subscription, pr notifyPrep) error {
+	body := pr.wrapped
+	if sub.UseRaw {
+		body = pr.payload
 	}
+	_, err := pr.client.CallContext(ctx, sub.Consumer, ActionNotify, body)
+	return err
 }
 
-// evict terminates a dead subscription through the lifetime path:
+// Evict terminates a dead subscription through the lifetime path:
 // Destroy on the subscription WS-Resource. Destroy's not-found error
-// is the exactly-once gate — whichever caller actually removes the
-// resource counts the eviction; racing evictors and explicit
-// unsubscribes find it gone and do nothing. AfterDestroy invalidates
-// the subscription cache, so the next Notify no longer scans the
-// evicted consumer.
-func (p *Producer) evict(id string) {
-	if err := p.Subs.Destroy(id); err != nil {
-		return
-	}
-	p.stats.evictions.Add(1)
-	wsnEvictionsTotal.Inc()
-	obs.RecordEvent("wsn.evict", obs.Attr{K: "subscription", V: id})
+// is the exactly-once gate. AfterDestroy invalidates the subscription
+// cache, so the next Notify no longer scans the evicted consumer.
+func (s notifySeam) Evict(sub *Subscription, _ error) bool {
+	return s.p.Subs.Destroy(sub.ID) == nil
 }
 
-func (p *Producer) persistHealth(id string, h SubscriptionHealth) {
-	if p.Subs == nil || p.Subs.DB == nil {
-		return
-	}
-	doc := xmlutil.New(NSNT, "SubscriptionHealth").Add(
-		xmlutil.NewText(NSNT, "ConsecutiveFailures", strconv.Itoa(h.ConsecutiveFailures)))
-	if h.LastError != "" {
-		doc.Add(xmlutil.NewText(NSNT, "LastError", h.LastError))
-	}
-	if !h.LastSuccess.IsZero() {
-		doc.Add(xmlutil.NewText(NSNT, "LastSuccess", h.LastSuccess.UTC().Format(time.RFC3339Nano)))
-	}
-	if !h.LastFailure.IsZero() {
-		doc.Add(xmlutil.NewText(NSNT, "LastFailure", h.LastFailure.UTC().Format(time.RFC3339Nano)))
-	}
-	if err := p.Subs.DB.Put(p.healthCollection(), id, doc); err != nil {
-		p.noteStateWriteError(err)
-	}
-}
-
-func (p *Producer) loadHealth(id string) SubscriptionHealth {
+func (s notifySeam) LoadHealth(id string) SubscriptionHealth {
+	p := s.p
 	var h SubscriptionHealth
 	if p.Subs == nil || p.Subs.DB == nil {
 		return h
@@ -250,4 +124,50 @@ func (p *Producer) loadHealth(id string) SubscriptionHealth {
 		h.LastFailure, _ = time.Parse(time.RFC3339Nano, v)
 	}
 	return h
+}
+
+func (s notifySeam) SaveHealth(id string, h SubscriptionHealth) error {
+	p := s.p
+	if p.Subs == nil || p.Subs.DB == nil {
+		return nil
+	}
+	doc := xmlutil.New(NSNT, "SubscriptionHealth").Add(
+		xmlutil.NewText(NSNT, "ConsecutiveFailures", strconv.Itoa(h.ConsecutiveFailures)))
+	if h.LastError != "" {
+		doc.Add(xmlutil.NewText(NSNT, "LastError", h.LastError))
+	}
+	if !h.LastSuccess.IsZero() {
+		doc.Add(xmlutil.NewText(NSNT, "LastSuccess", h.LastSuccess.UTC().Format(time.RFC3339Nano)))
+	}
+	if !h.LastFailure.IsZero() {
+		doc.Add(xmlutil.NewText(NSNT, "LastFailure", h.LastFailure.UTC().Format(time.RFC3339Nano)))
+	}
+	return p.Subs.DB.Put(p.healthCollection(), id, doc)
+}
+
+// healthCollection is where health records persist, beside the
+// subscription collection (like the "-current" message collection).
+func (p *Producer) healthCollection() string { return p.Subs.Collection + "-health" }
+
+// dropHealth forgets a subscription's ledger in memory and on disk;
+// wired to AfterDestroy so unsubscribes and evictions both clean up.
+func (p *Producer) dropHealth(id string) {
+	p.engine.DropHealth(id)
+	if p.Subs != nil && p.Subs.DB != nil {
+		// A subscription whose health was never persisted has nothing to
+		// delete; only real backend failures count.
+		if err := p.Subs.DB.Delete(p.healthCollection(), id); err != nil && !errors.Is(err, xmldb.ErrNotFound) {
+			p.engine.NoteStateWriteError(err)
+		}
+	}
+}
+
+// buildNotify wraps a message as a wsnt:Notify body — the historical
+// single-message envelope TestBatchOfOneWireIdentical pins.
+func buildNotify(topic string, msg *xmlutil.Element) *xmlutil.Element {
+	return xmlutil.New(NSNT, "Notify").Add(
+		xmlutil.New(NSNT, "NotificationMessage").Add(
+			xmlutil.NewText(NSNT, "Topic", topic).SetAttr("", "Dialect", DialectConcrete),
+			xmlutil.New(NSNT, "Message").Add(msg),
+		))
 }

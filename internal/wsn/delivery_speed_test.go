@@ -1,8 +1,8 @@
 package wsn
 
 // Tests for the delivery-speed work: connection pooling on the notify
-// path, Enqueue coalescing, and the wire compatibility of batch-of-one
-// envelopes with the historical single-message format.
+// path, and the wire compatibility of the Notify envelope with the
+// historical single-message format.
 
 import (
 	"bytes"
@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"altstacks/internal/container"
 	"altstacks/internal/soap"
@@ -76,129 +75,13 @@ func TestDeliveryModeConnections(t *testing.T) {
 	}
 }
 
-// TestEnqueueCoalescesIntoOneExchange pins the deterministic batching
-// case: MaxBatch messages enqueued back to back (well inside
-// MaxBatchDelay) reach the subscriber as one multi-message envelope —
-// one exchange, MaxBatch messages, in order.
-func TestEnqueueCoalescesIntoOneExchange(t *testing.T) {
-	p, _, client, producer := startProducerDB(t)
-	p.MaxBatch = 4
-	p.MaxBatchDelay = 2 * time.Second
-
-	cons := newConsumer(t)
-	if _, err := Subscribe(client, producer, cons.EPR(),
-		SubscribeOptions{Topic: Concrete("job/exited")}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		p.Enqueue("job/exited", jobExited(i))
-	}
-	p.Flush()
-
-	for i := 0; i < 4; i++ {
-		got := recv(t, cons)
-		if got.Topic != "job/exited" || got.Message.ChildText(nsJob, "ExitCode") != itoa(i) {
-			t.Fatalf("message %d: topic=%q payload=%s", i, got.Topic, got.Message.Marshal())
-		}
-	}
-	stats := p.DeliveryStats()
-	if stats.Deliveries != 1 {
-		t.Fatalf("deliveries = %d, want 1 coalesced exchange", stats.Deliveries)
-	}
-	if stats.CoalescedBatches != 1 {
-		t.Fatalf("coalesced batches = %d, want 1", stats.CoalescedBatches)
-	}
-	if got := p.MessagesSent(); got != 4 {
-		t.Fatalf("messages sent = %d, want 4", got)
-	}
-}
-
-// TestEnqueueOrderingUnderLoad streams messages through the coalescer
-// with delivery in flight (run under -race in CI's race-delivery gate):
-// whatever the batch boundaries, the subscriber must observe every
-// message exactly once, in Enqueue order.
-func TestEnqueueOrderingUnderLoad(t *testing.T) {
-	p, _, client, producer := startProducerDB(t)
-	p.MaxBatch = 4
-	p.MaxBatchDelay = 50 * time.Millisecond
-
-	const total = 24
-	cons, err := NewConsumer(total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cons.Close)
-	if _, err := Subscribe(client, producer, cons.EPR(),
-		SubscribeOptions{Topic: Concrete("job/exited")}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < total; i++ {
-		p.Enqueue("job/exited", jobExited(i))
-	}
-	p.Flush()
-
-	for i := 0; i < total; i++ {
-		got := recv(t, cons)
-		if got.Message.ChildText(nsJob, "ExitCode") != itoa(i) {
-			t.Fatalf("position %d received %s", i, got.Message.Marshal())
-		}
-	}
-	stats := p.DeliveryStats()
-	if stats.Deliveries >= total {
-		t.Fatalf("deliveries = %d for %d messages: nothing coalesced", stats.Deliveries, total)
-	}
-	if got := p.MessagesSent(); got != total {
-		t.Fatalf("messages sent = %d, want %d", got, total)
-	}
-}
-
-// TestEnqueueFiltersPerMessage checks coalescing degrades per
-// subscriber: a filtered subscriber receives exactly the subset of the
-// batch its filters match, while an unfiltered one receives everything.
-func TestEnqueueFiltersPerMessage(t *testing.T) {
-	p, _, client, producer := startProducerDB(t)
-	p.MaxBatch = 4
-	p.MaxBatchDelay = 2 * time.Second
-
-	all := newConsumer(t)
-	failedOnly := newConsumer(t)
-	if _, err := Subscribe(client, producer, all.EPR(),
-		SubscribeOptions{Topic: Concrete("job/exited")}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Subscribe(client, producer, failedOnly.EPR(), SubscribeOptions{
-		Topic:          Concrete("job/exited"),
-		MessageContent: "/JobExited[ExitCode!=0]",
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Codes 0,1,0,2: the filtered subscriber must see only 1 and 2.
-	for _, code := range []int{0, 1, 0, 2} {
-		p.Enqueue("job/exited", jobExited(code))
-	}
-	p.Flush()
-
-	for _, want := range []string{"0", "1", "0", "2"} {
-		if got := recv(t, all); got.Message.ChildText(nsJob, "ExitCode") != want {
-			t.Fatalf("unfiltered consumer: got %s, want code %s", got.Message.Marshal(), want)
-		}
-	}
-	for _, want := range []string{"1", "2"} {
-		if got := recv(t, failedOnly); got.Message.ChildText(nsJob, "ExitCode") != want {
-			t.Fatalf("filtered consumer: got %s, want code %s", got.Message.Marshal(), want)
-		}
-	}
-	expectNone(t, failedOnly)
-}
-
-// TestBatchOfOneWireIdentical is the differential test for the
-// coalescing envelope: a batch of one must serialize byte-for-byte
-// identically to the historical single-message Notify, so enabling the
-// Enqueue path never changes the wire format consumers see for
-// unbatched traffic.
+// TestBatchOfOneWireIdentical is the differential test for the Notify
+// envelope: buildNotify must serialize byte-for-byte identically to the
+// historical single-message Notify, so the wire format consumers see
+// never drifts.
 func TestBatchOfOneWireIdentical(t *testing.T) {
 	msg := jobExited(7)
-	batched := buildNotify([]topicMessage{{Topic: "job/exited", Message: msg}})
+	batched := buildNotify("job/exited", msg)
 	// The pre-coalescing construction, verbatim.
 	legacy := xmlutil.New(NSNT, "Notify").Add(
 		xmlutil.New(NSNT, "NotificationMessage").Add(

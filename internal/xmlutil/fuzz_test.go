@@ -42,6 +42,8 @@ func FuzzParse(f *testing.F) {
 		strings.Repeat("<d>", 200) + strings.Repeat("</d>", 200),
 		strings.Repeat("<a b='1' ", 50),
 		"<a>" + strings.Repeat("&lt;", 300) + "</a>",
+		nested(MaxDepth),
+		nested(MaxDepth + 1),
 	} {
 		f.Add([]byte(s))
 	}

@@ -3,7 +3,6 @@ package xmlutil
 import (
 	"encoding/xml"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,9 +33,8 @@ var (
 // pooled, elements and attributes are block-allocated, and text spans
 // without entity references alias a single upfront copy of the input
 // (the one copy that makes the result independent of the caller's
-// buffer, which the container recycles). ParseReader remains the
-// encoding/xml-based reference implementation; TestParseDifferential
-// pins the two to identical output.
+// buffer, which the container recycles). TestParseDifferential pins it
+// to an encoding/xml-based reference implementation.
 func Parse(data []byte) (*Element, error) {
 	parseTotal.Inc()
 	parseBytesTotal.Add(int64(len(data)))
@@ -51,68 +49,6 @@ func Parse(data []byte) (*Element, error) {
 	return root, nil
 }
 
-// ParseReader decodes one XML document from r via encoding/xml. It is
-// the reference implementation Parse is differentially tested against;
-// the two accept the same documents and produce identical trees.
-func ParseReader(r io.Reader) (*Element, error) {
-	dec := xml.NewDecoder(r)
-	var root *Element
-	var stack []*Element
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmlutil: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			el := &Element{Name: t.Name}
-			for _, a := range t.Attr {
-				if isNamespaceDecl(a.Name) {
-					continue
-				}
-				el.Attrs = append(el.Attrs, a)
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmlutil: parse: multiple root elements")
-				}
-				root = el
-			} else {
-				parent := stack[len(stack)-1]
-				parent.Children = append(parent.Children, el)
-			}
-			stack = append(stack, el)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmlutil: parse: unbalanced end element %s", t.Name.Local)
-			}
-			done := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			// Drop insignificant whitespace in container elements.
-			if len(done.Children) > 0 && strings.TrimSpace(done.Text) == "" {
-				done.Text = ""
-			}
-		case xml.CharData:
-			if len(stack) > 0 {
-				stack[len(stack)-1].Text += string(t)
-			}
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// Ignored: comments and processing instructions carry no
-			// message semantics in any of the WS-* specifications.
-		}
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmlutil: parse: unexpected EOF inside %s", stack[len(stack)-1].Name.Local)
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmlutil: parse: empty document")
-	}
-	return root, nil
-}
-
 // MustParse is Parse for static document literals in tests and
 // examples; it panics on malformed input.
 func MustParse(data string) *Element {
@@ -123,10 +59,6 @@ func MustParse(data string) *Element {
 	return e
 }
 
-func isNamespaceDecl(n xml.Name) bool {
-	return n.Space == "xmlns" || (n.Space == "" && n.Local == "xmlns")
-}
-
 // xmlNamespaceURI is the namespace the reserved "xml" prefix is bound
 // to without declaration (Namespaces in XML 1.0 §3).
 const xmlNamespaceURI = "http://www.w3.org/XML/1998/namespace"
@@ -134,6 +66,14 @@ const xmlNamespaceURI = "http://www.w3.org/XML/1998/namespace"
 func errParse(format string, args ...any) error {
 	return fmt.Errorf("xmlutil: parse: "+format, args...)
 }
+
+// MaxDepth caps element nesting; Parse rejects deeper documents.
+// Parse itself is iterative, but Clone, Marshal and Canonical recurse,
+// so a document nested millions deep — small enough to pass the 16 MiB
+// request and frame caps — would overflow the stack (a fatal error,
+// not a recoverable panic) of whichever handler walks it. WS-* messages
+// nest a few dozen levels.
+const MaxDepth = 512
 
 // elemSlabSize is how many Elements (and attributes) are allocated per
 // block. Handed-out entries escape with the document; only the unused
@@ -361,6 +301,9 @@ func (p *parser) resolve(prefix string, isAttr bool) string {
 
 func (p *parser) startTag() error {
 	s := p.s
+	if len(p.frames) >= MaxDepth {
+		return errParse("elements nested deeper than %d", MaxDepth)
+	}
 	p.pos++ // '<'
 	raw, err := p.name()
 	if err != nil {

@@ -2,10 +2,79 @@ package xmlutil
 
 import (
 	"bytes"
+	"encoding/xml"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
+
+// ParseReader decodes one XML document from r via encoding/xml. It is
+// the reference implementation Parse is differentially tested against:
+// the two accept the same documents (below MaxDepth) and produce
+// identical trees.
+func ParseReader(r io.Reader) (*Element, error) {
+	dec := xml.NewDecoder(r)
+	var root *Element
+	var stack []*Element
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("xmlutil: parse: %w", err)
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			el := &Element{Name: t.Name}
+			for _, a := range t.Attr {
+				if isNamespaceDecl(a.Name) {
+					continue
+				}
+				el.Attrs = append(el.Attrs, a)
+			}
+			if len(stack) == 0 {
+				if root != nil {
+					return nil, fmt.Errorf("xmlutil: parse: multiple root elements")
+				}
+				root = el
+			} else {
+				parent := stack[len(stack)-1]
+				parent.Children = append(parent.Children, el)
+			}
+			stack = append(stack, el)
+		case xml.EndElement:
+			if len(stack) == 0 {
+				return nil, fmt.Errorf("xmlutil: parse: unbalanced end element %s", t.Name.Local)
+			}
+			done := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			// Drop insignificant whitespace in container elements.
+			if len(done.Children) > 0 && strings.TrimSpace(done.Text) == "" {
+				done.Text = ""
+			}
+		case xml.CharData:
+			if len(stack) > 0 {
+				stack[len(stack)-1].Text += string(t)
+			}
+		case xml.Comment, xml.ProcInst, xml.Directive:
+			// Ignored: comments and processing instructions carry no
+			// message semantics in any of the WS-* specifications.
+		}
+	}
+	if len(stack) != 0 {
+		return nil, fmt.Errorf("xmlutil: parse: unexpected EOF inside %s", stack[len(stack)-1].Name.Local)
+	}
+	if root == nil {
+		return nil, fmt.Errorf("xmlutil: parse: empty document")
+	}
+	return root, nil
+}
+
+func isNamespaceDecl(n xml.Name) bool {
+	return n.Space == "xmlns" || (n.Space == "" && n.Local == "xmlns")
+}
 
 // parseCorpus is the differential corpus: every document shape the two
 // stacks put on the wire, plus the syntax corners the hand-rolled
@@ -235,5 +304,30 @@ func TestParseErrorsMentionPackage(t *testing.T) {
 	_, err = Parse(nil)
 	if err == nil || !strings.Contains(err.Error(), "empty document") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// nested returns a document of depth elements, each inside the last.
+func nested(depth int) string {
+	return strings.Repeat("<d>", depth) + strings.Repeat("</d>", depth)
+}
+
+// TestParseDepthCap pins the nesting cap: the recursive walks (Clone,
+// Marshal, Canonical) must never see a document deeper than MaxDepth.
+func TestParseDepthCap(t *testing.T) {
+	el, err := Parse([]byte(nested(MaxDepth)))
+	if err != nil {
+		t.Fatalf("depth %d rejected: %v", MaxDepth, err)
+	}
+	if _, err := Parse(el.Marshal()); err != nil {
+		t.Fatalf("re-parse at depth %d: %v", MaxDepth, err)
+	}
+	if _, err := Parse([]byte(nested(MaxDepth + 1))); err == nil {
+		t.Fatalf("depth %d accepted", MaxDepth+1)
+	}
+	// Self-closing leaves count toward the depth too.
+	deep := strings.Repeat("<d>", MaxDepth) + "<e/>" + strings.Repeat("</d>", MaxDepth)
+	if _, err := Parse([]byte(deep)); err == nil {
+		t.Fatalf("self-closing leaf at depth %d accepted", MaxDepth+1)
 	}
 }
