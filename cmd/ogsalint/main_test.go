@@ -60,9 +60,9 @@ func TestBaselineReportsOnlyNew(t *testing.T) {
 
 	// The old finding drifted ten lines; a new one appeared elsewhere.
 	drifted := diag(filepath.Join(cwd, "a.go"), 20, "ogsalint/lockheld", "held across Do")
-	fresh := diag(filepath.Join(cwd, "c.go"), 5, "ogsalint/copylock", "copies sync.Mutex")
+	fresh := diag(filepath.Join(cwd, "c.go"), 5, "ogsalint/atomicmix", "plain read of atomic field")
 	got := applyBaseline(cwd, []lint.Diagnostic{drifted, fresh}, baseline)
-	if len(got) != 1 || got[0].Message != "copies sync.Mutex" {
+	if len(got) != 1 || got[0].Message != "plain read of atomic field" {
 		t.Fatalf("want only the fresh finding, got %v", got)
 	}
 }

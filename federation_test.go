@@ -1,4 +1,4 @@
-// Fleet federation end to end, multi-process: two sharded counterd
+// Fleet federation end to end, multi-process: two counterd
 // daemons are launched as real OS processes, traffic is driven at
 // both, and the fleet view is asserted from both sides — client-side
 // (scrape every instance and merge) and server-side (the /federate
@@ -37,7 +37,7 @@ type daemon struct {
 // startup banner for the service and admin URLs.
 func startCounterd(t *testing.T, bin string, peers string) *daemon {
 	t.Helper()
-	args := []string{"-shards", "2", "-admin", "127.0.0.1:0"}
+	args := []string{"-admin", "127.0.0.1:0"}
 	if peers != "" {
 		args = append(args, "-peers", peers)
 	}

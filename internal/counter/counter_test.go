@@ -324,22 +324,30 @@ func TestStackNeutralInterfaceSatisfied(t *testing.T) {
 	}
 }
 
-// TestStacksOverShardedStorage runs the full counter lifecycle of both
-// stacks over a sharded backend — the storage scale-out must be
-// invisible at the protocol layer.
-func TestStacksOverShardedStorage(t *testing.T) {
-	shardedWSRF := func(t *testing.T) Client {
+// TestStacksOverFileStorage runs the full counter lifecycle of both
+// stacks over the on-disk backend (counterd -db DIR) — the storage
+// backend must be invisible at the protocol layer.
+func TestStacksOverFileStorage(t *testing.T) {
+	fileDB := func(t *testing.T) *xmldb.DB {
+		t.Helper()
+		be, err := xmldb.NewFileBackend(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xmldb.New(be, xmldb.CostModel{})
+	}
+	fileWSRF := func(t *testing.T) Client {
 		t.Helper()
 		c := container.New(container.SecurityNone)
 		client := container.NewClient(container.ClientConfig{})
-		InstallWSRF(c, xmldb.New(xmldb.NewShardedMemory(4), xmldb.CostModel{}), client)
+		InstallWSRF(c, fileDB(t), client)
 		if _, err := c.Start(); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(c.Close)
 		return &WSRFClient{C: client, Service: c.EPR("/counter")}
 	}
-	shardedWST := func(t *testing.T) Client {
+	fileWST := func(t *testing.T) Client {
 		t.Helper()
 		c := container.New(container.SecurityNone)
 		client := container.NewClient(container.ClientConfig{})
@@ -347,7 +355,7 @@ func TestStacksOverShardedStorage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		InstallWST(c, xmldb.New(xmldb.NewShardedMemory(4), xmldb.CostModel{}), store, client)
+		InstallWST(c, fileDB(t), store, client)
 		if _, err := c.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -355,8 +363,8 @@ func TestStacksOverShardedStorage(t *testing.T) {
 		return NewWSTClient(client, c.BaseURL())
 	}
 	for name, start := range map[string]func(*testing.T) Client{
-		"wsrf": shardedWSRF,
-		"wst":  shardedWST,
+		"wsrf": fileWSRF,
+		"wst":  fileWST,
 	} {
 		t.Run(name, func(t *testing.T) {
 			cl := start(t)

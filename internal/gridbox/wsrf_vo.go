@@ -1,6 +1,7 @@
 package gridbox
 
 import (
+	"context"
 	"encoding/xml"
 	"errors"
 	"fmt"
@@ -283,7 +284,7 @@ func (vo *WSRFVO) addAccount(ctx *container.Ctx) (*xmlutil.Element, error) {
 	for _, p := range ctx.Envelope.Body.ChildrenNamed(NS, "Privilege") {
 		doc.Add(xmlutil.NewText(NS, "Privilege", p.TrimText()))
 	}
-	if err := vo.cfg.DB.Put(colAccounts, dn, doc); err != nil {
+	if err := vo.cfg.DB.PutContext(ctx.Context, colAccounts, dn, doc); err != nil {
 		return nil, err
 	}
 	return xmlutil.New(NS, "AddAccountResponse"), nil
@@ -291,7 +292,7 @@ func (vo *WSRFVO) addAccount(ctx *container.Ctx) (*xmlutil.Element, error) {
 
 func (vo *WSRFVO) accountExists(ctx *container.Ctx) (*xmlutil.Element, error) {
 	dn := ctx.Envelope.Body.ChildText(NS, "DN")
-	ok, err := vo.cfg.DB.Exists(colAccounts, dn)
+	ok, err := vo.cfg.DB.ExistsContext(ctx.Context, colAccounts, dn)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +304,7 @@ func (vo *WSRFVO) removeAccount(ctx *container.Ctx) (*xmlutil.Element, error) {
 		return nil, err
 	}
 	dn := ctx.Envelope.Body.ChildText(NS, "DN")
-	if err := vo.cfg.DB.Delete(colAccounts, dn); err != nil {
+	if err := vo.cfg.DB.DeleteContext(ctx.Context, colAccounts, dn); err != nil {
 		if errors.Is(err, xmldb.ErrNotFound) {
 			return nil, soap.Faultf(soap.FaultClient, "no account %q", dn)
 		}
@@ -340,7 +341,7 @@ func (vo *WSRFVO) registerSite(ctx *container.Ctx) (*xmlutil.Element, error) {
 	if err != nil {
 		return nil, soap.Faultf(soap.FaultClient, "bad site: %v", err)
 	}
-	if err := vo.cfg.DB.Put(colSites, site.Host, site.Element()); err != nil {
+	if err := vo.cfg.DB.PutContext(ctx.Context, colSites, site.Host, site.Element()); err != nil {
 		return nil, err
 	}
 	return xmlutil.New(NS, "RegisterSiteResponse"), nil
@@ -357,17 +358,17 @@ func (vo *WSRFVO) getAvailable(ctx *container.Ctx) (*xmlutil.Element, error) {
 	if err := vo.checkAccount(callerDN(ctx)); err != nil {
 		return nil, err
 	}
-	reserved, err := vo.reservedHosts()
+	reserved, err := vo.reservedHosts(ctx.Context)
 	if err != nil {
 		return nil, err
 	}
-	ids, err := vo.cfg.DB.IDs(colSites)
+	ids, err := vo.cfg.DB.IDsContext(ctx.Context, colSites)
 	if err != nil {
 		return nil, err
 	}
 	resp := xmlutil.New(NS, "GetAvailableResourcesResponse")
 	for _, host := range ids {
-		doc, err := vo.cfg.DB.Get(colSites, host)
+		doc, err := vo.cfg.DB.GetContext(ctx.Context, colSites, host)
 		if err != nil {
 			continue
 		}
@@ -380,14 +381,14 @@ func (vo *WSRFVO) getAvailable(ctx *container.Ctx) (*xmlutil.Element, error) {
 	return resp, nil
 }
 
-func (vo *WSRFVO) reservedHosts() (map[string]bool, error) {
-	ids, err := vo.Reservations.IDs()
+func (vo *WSRFVO) reservedHosts(ctx context.Context) (map[string]bool, error) {
+	ids, err := vo.Reservations.DB.IDsContext(ctx, vo.Reservations.Collection)
 	if err != nil {
 		return nil, err
 	}
 	out := map[string]bool{}
 	for _, id := range ids {
-		r, err := vo.Reservations.Load(id)
+		r, err := vo.Reservations.LoadContext(ctx, id)
 		if err != nil {
 			continue
 		}
@@ -409,10 +410,10 @@ func (vo *WSRFVO) makeReservation(ctx *container.Ctx) (*xmlutil.Element, error) 
 	if err := vo.checkAccount(dn); err != nil {
 		return nil, err
 	}
-	if ok, err := vo.cfg.DB.Exists(colSites, host); err != nil || !ok {
+	if ok, err := vo.cfg.DB.ExistsContext(ctx.Context, colSites, host); err != nil || !ok {
 		return nil, soap.Faultf(soap.FaultClient, "no such site %q", host)
 	}
-	reserved, err := vo.reservedHosts()
+	reserved, err := vo.reservedHosts(ctx.Context)
 	if err != nil {
 		return nil, err
 	}
@@ -423,12 +424,12 @@ func (vo *WSRFVO) makeReservation(ctx *container.Ctx) (*xmlutil.Element, error) 
 		xmlutil.NewText(NS, "Host", host),
 		xmlutil.NewText(NS, "Owner", dn),
 	)
-	epr, err := vo.Reservations.Create(state)
+	epr, err := vo.Reservations.CreateContext(ctx.Context, state)
 	if err != nil {
 		return nil, err
 	}
 	id, _ := epr.Property(NS, "ReservationID")
-	if err := vo.Reservations.Mutate(id, func(r *wsrf.Resource) error {
+	if err := vo.Reservations.MutateContext(ctx.Context, id, func(r *wsrf.Resource) error {
 		r.Termination = time.Now().Add(vo.cfg.ReservationDelta)
 		return nil
 	}); err != nil {
@@ -449,7 +450,7 @@ func (vo *WSRFVO) createDirectory(ctx *container.Ctx) (*xmlutil.Element, error) 
 		return nil, err
 	}
 	state := xmlutil.New(NS, "Directory").Add(xmlutil.NewText(NS, "Path", name))
-	epr, err := vo.Dirs.Create(state)
+	epr, err := vo.Dirs.CreateContext(ctx.Context, state)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +473,7 @@ func (vo *WSRFVO) uploadFile(ctx *container.Ctx) (*xmlutil.Element, error) {
 		return nil, soap.Faultf(soap.FaultClient, "UploadFile needs FileName and FileContent")
 	}
 	var dir string
-	err = vo.Dirs.View(id, func(r *wsrf.Resource) error {
+	err = vo.Dirs.ViewContext(ctx.Context, id, func(r *wsrf.Resource) error {
 		dir = vo.dirPath(r)
 		return nil
 	})
@@ -495,7 +496,7 @@ func (vo *WSRFVO) downloadFile(ctx *container.Ctx) (*xmlutil.Element, error) {
 		return nil, soap.Faultf(soap.FaultClient, "DownloadFile names no file")
 	}
 	var dir string
-	err = vo.Dirs.View(id, func(r *wsrf.Resource) error {
+	err = vo.Dirs.ViewContext(ctx.Context, id, func(r *wsrf.Resource) error {
 		dir = vo.dirPath(r)
 		return nil
 	})
@@ -523,7 +524,7 @@ func (vo *WSRFVO) deleteFile(ctx *container.Ctx) (*xmlutil.Element, error) {
 		return nil, soap.Faultf(soap.FaultClient, "DeleteFile names no file")
 	}
 	var dir string
-	err = vo.Dirs.View(id, func(r *wsrf.Resource) error {
+	err = vo.Dirs.ViewContext(ctx.Context, id, func(r *wsrf.Resource) error {
 		dir = vo.dirPath(r)
 		return nil
 	})
@@ -602,7 +603,7 @@ func (vo *WSRFVO) startJob(ctx *container.Ctx) (*xmlutil.Element, error) {
 		resEPR.Element(NS, "ReservationEPR"),
 		dirEPR.Element(NS, "DataDirEPR"),
 	)
-	jobEPR, err := vo.Jobs.CreateWithID(procID, state)
+	jobEPR, err := vo.Jobs.CreateWithIDContext(ctx.Context, procID, state)
 	if err != nil {
 		return nil, err
 	}
@@ -616,7 +617,7 @@ func (vo *WSRFVO) startJob(ctx *container.Ctx) (*xmlutil.Element, error) {
 	}); err != nil {
 		// The spawn failure is the client's fault to see; a failed
 		// rollback of the just-created job resource rides along.
-		if derr := vo.Jobs.Destroy(procID); derr != nil {
+		if derr := vo.Jobs.DestroyContext(ctx.Context, procID); derr != nil {
 			return nil, errors.Join(err, fmt.Errorf("job resource rollback failed: %w", derr))
 		}
 		return nil, err

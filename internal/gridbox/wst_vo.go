@@ -1,6 +1,7 @@
 package gridbox
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -349,7 +350,7 @@ func (vo *WSTVO) allocCreate(ctx *container.Ctx) (*xmlutil.Element, error) {
 	if err != nil {
 		return nil, soap.Faultf(soap.FaultClient, "bad site: %v", err)
 	}
-	if err := vo.cfg.DB.Put(colWSTSites, site.Host, site.Element()); err != nil {
+	if err := vo.cfg.DB.PutContext(ctx.Context, colWSTSites, site.Host, site.Element()); err != nil {
 		return nil, err
 	}
 	epr := wsa.NewEPR(vo.c.BaseURL()+"/allocation").WithProperty(NS, "SiteID", site.Host)
@@ -366,7 +367,7 @@ func (vo *WSTVO) allocDelete(ctx *container.Ctx) (*xmlutil.Element, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := vo.cfg.DB.Delete(colWSTSites, id); err != nil {
+	if err := vo.cfg.DB.DeleteContext(ctx.Context, colWSTSites, id); err != nil {
 		if errors.Is(err, xmldb.ErrNotFound) {
 			return nil, soap.Faultf(soap.FaultClient, "no site %q", id)
 		}
@@ -389,9 +390,9 @@ func (vo *WSTVO) allocGet(ctx *container.Ctx) (*xmlutil.Element, error) {
 		if err := vo.checkAccount(wstCallerDN(ctx)); err != nil {
 			return nil, err
 		}
-		return vo.availableSites(app)
+		return vo.availableSites(ctx.Context, app)
 	}
-	doc, err := vo.cfg.DB.Get(colWSTReservations, id)
+	doc, err := vo.cfg.DB.GetContext(ctx.Context, colWSTReservations, id)
 	if err != nil {
 		if errors.Is(err, xmldb.ErrNotFound) {
 			return nil, soap.Faultf(soap.FaultClient, "site %q is not reserved", id)
@@ -401,17 +402,17 @@ func (vo *WSTVO) allocGet(ctx *container.Ctx) (*xmlutil.Element, error) {
 	return xmlutil.NewText(NS, "ReservedBy", doc.ChildText(NS, "Owner")), nil
 }
 
-func (vo *WSTVO) availableSites(app string) (*xmlutil.Element, error) {
-	hosts, err := vo.cfg.DB.IDs(colWSTSites)
+func (vo *WSTVO) availableSites(ctx context.Context, app string) (*xmlutil.Element, error) {
+	hosts, err := vo.cfg.DB.IDsContext(ctx, colWSTSites)
 	if err != nil {
 		return nil, err
 	}
 	resp := xmlutil.New(NS, "AvailableResources")
 	for _, host := range hosts {
-		if ok, _ := vo.cfg.DB.Exists(colWSTReservations, host); ok {
+		if ok, _ := vo.cfg.DB.ExistsContext(ctx, colWSTReservations, host); ok {
 			continue
 		}
-		doc, err := vo.cfg.DB.Get(colWSTSites, host)
+		doc, err := vo.cfg.DB.GetContext(ctx, colWSTSites, host)
 		if err != nil {
 			continue
 		}
@@ -445,7 +446,7 @@ func (vo *WSTVO) allocPut(ctx *container.Ctx) (*xmlutil.Element, error) {
 		if err := vo.checkAccount(dn); err != nil {
 			return nil, err
 		}
-		if ok, _ := vo.cfg.DB.Exists(colWSTSites, host); !ok {
+		if ok, _ := vo.cfg.DB.ExistsContext(ctx.Context, colWSTSites, host); !ok {
 			return nil, soap.Faultf(soap.FaultClient, "no such site %q", host)
 		}
 		res := xmlutil.New(NS, "Reservation").Add(
@@ -453,14 +454,14 @@ func (vo *WSTVO) allocPut(ctx *container.Ctx) (*xmlutil.Element, error) {
 			xmlutil.NewText(NS, "Owner", dn),
 			xmlutil.NewText(NS, "Until", time.Now().Add(DefaultReservationDelta).UTC().Format(time.RFC3339)),
 		)
-		if err := vo.cfg.DB.Create(colWSTReservations, host, res); err != nil {
+		if err := vo.cfg.DB.CreateContext(ctx.Context, colWSTReservations, host, res); err != nil {
 			if errors.Is(err, xmldb.ErrExists) {
 				return nil, soap.Faultf(soap.FaultClient, "site %q is already reserved", host)
 			}
 			return nil, err
 		}
 	case ModeUnreserve:
-		if err := vo.cfg.DB.Delete(colWSTReservations, host); err != nil {
+		if err := vo.cfg.DB.DeleteContext(ctx.Context, colWSTReservations, host); err != nil {
 			if errors.Is(err, xmldb.ErrNotFound) {
 				return nil, soap.Faultf(soap.FaultClient, "site %q is not reserved", host)
 			}
@@ -471,7 +472,7 @@ func (vo *WSTVO) allocPut(ctx *container.Ctx) (*xmlutil.Element, error) {
 		if until == "" {
 			return nil, soap.Faultf(soap.FaultClient, "re-time Put carries no Until")
 		}
-		doc, err := vo.cfg.DB.Get(colWSTReservations, host)
+		doc, err := vo.cfg.DB.GetContext(ctx.Context, colWSTReservations, host)
 		if err != nil {
 			if errors.Is(err, xmldb.ErrNotFound) {
 				return nil, soap.Faultf(soap.FaultClient, "site %q is not reserved", host)
@@ -483,7 +484,7 @@ func (vo *WSTVO) allocPut(ctx *container.Ctx) (*xmlutil.Element, error) {
 		} else {
 			doc.Add(xmlutil.NewText(NS, "Until", until))
 		}
-		if err := vo.cfg.DB.Update(colWSTReservations, host, doc); err != nil {
+		if err := vo.cfg.DB.UpdateContext(ctx.Context, colWSTReservations, host, doc); err != nil {
 			return nil, err
 		}
 	default:
@@ -562,7 +563,7 @@ func (vo *WSTVO) execCreate(ctx *container.Ctx) (*xmlutil.Element, error) {
 		xmlutil.NewText(NS, "Owner", dn),
 		spec.Element(),
 	)
-	if err := vo.cfg.DB.Create(colWSTJobs, procID, rep); err != nil {
+	if err := vo.cfg.DB.CreateContext(ctx.Context, colWSTJobs, procID, rep); err != nil {
 		return nil, err
 	}
 	if _, err := vo.Procs.SpawnWithID(procID, procsim.Spec{
@@ -575,7 +576,7 @@ func (vo *WSTVO) execCreate(ctx *container.Ctx) (*xmlutil.Element, error) {
 	}); err != nil {
 		// Surface a failed rollback of the stored representation beside
 		// the spawn failure instead of dropping it.
-		if derr := vo.cfg.DB.Delete(colWSTJobs, procID); derr != nil && !errors.Is(derr, xmldb.ErrNotFound) {
+		if derr := vo.cfg.DB.DeleteContext(ctx.Context, colWSTJobs, procID); derr != nil && !errors.Is(derr, xmldb.ErrNotFound) {
 			return nil, errors.Join(err, fmt.Errorf("representation rollback failed: %w", derr))
 		}
 		return nil, err
@@ -596,7 +597,7 @@ func (vo *WSTVO) execGet(ctx *container.Ctx) (*xmlutil.Element, error) {
 	if !ok {
 		return nil, soap.Faultf(soap.FaultClient, "request carries no JobID")
 	}
-	rep, err := vo.cfg.DB.Get(colWSTJobs, id)
+	rep, err := vo.cfg.DB.GetContext(ctx.Context, colWSTJobs, id)
 	if err != nil {
 		if errors.Is(err, xmldb.ErrNotFound) {
 			return nil, soap.Faultf(soap.FaultClient, "no job %q", id)
@@ -625,7 +626,7 @@ func (vo *WSTVO) execDelete(ctx *container.Ctx) (*xmlutil.Element, error) {
 	if !ok {
 		return nil, soap.Faultf(soap.FaultClient, "request carries no JobID")
 	}
-	if err := vo.cfg.DB.Delete(colWSTJobs, id); err != nil {
+	if err := vo.cfg.DB.DeleteContext(ctx.Context, colWSTJobs, id); err != nil {
 		if errors.Is(err, xmldb.ErrNotFound) {
 			return nil, soap.Faultf(soap.FaultClient, "no job %q", id)
 		}

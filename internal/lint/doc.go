@@ -6,9 +6,9 @@
 // errors on delivery paths that must reach the SOAP-fault mapper or
 // the health ledger, and XML that must go through xmlutil so escaping
 // cannot be bypassed. The concurrency pack (atomicmix, goroutinelife,
-// timerleak, copylock) extends the suite to the parallel core: mixed
-// atomic/plain access, goroutines with no exit path, leaked timers,
-// and lock-bearing values copied by value.
+// timerleak) extends the suite to the parallel core: mixed atomic/plain
+// access, goroutines with no exit path, and leaked timers. Lock-bearing
+// values copied by value are go vet's copylocks check (`make vet`).
 //
 // The package mirrors the shape of golang.org/x/tools/go/analysis (an
 // Analyzer runs over one type-checked package via a Pass and reports

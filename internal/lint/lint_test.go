@@ -68,7 +68,7 @@ var d = 3
 // TestAnalyzersStable pins the suite composition `ogsalint -doc`
 // advertises.
 func TestAnalyzersStable(t *testing.T) {
-	want := []string{"poolescape", "lockheld", "ctxflow", "soapfault", "rawxml", "atomicmix", "goroutinelife", "timerleak", "copylock", "spanleak"}
+	want := []string{"poolescape", "lockheld", "ctxflow", "soapfault", "rawxml", "atomicmix", "goroutinelife", "timerleak", "spanleak"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

@@ -347,3 +347,23 @@ func TestAdminEndpoints(t *testing.T) {
 		}
 	})
 }
+
+// TestRuntimeGauges: the goroutine and heap gauges read live values
+// from runtime/metrics at scrape time (gridctl top shows both).
+func TestRuntimeGauges(t *testing.T) {
+	var sb strings.Builder
+	if err := Default.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ogsa_runtime_goroutines", "ogsa_runtime_heap_inuse_bytes"} {
+		var line string
+		for _, l := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(l, name+" ") {
+				line = l
+			}
+		}
+		if line == "" || strings.HasSuffix(line, " 0") {
+			t.Errorf("%s sample = %q, want a positive value", name, line)
+		}
+	}
+}

@@ -15,35 +15,14 @@ import (
 // pause histogram answers "are collection pauses eating into the
 // latency SLO" — both per instance and, through /federate, fleet-wide.
 
-// runtimeGauge is a gauge read from one runtime/metrics sample at
-// scrape time.
-type runtimeGauge struct {
-	name, help, sample string
-}
-
-func newRuntimeGauge(name, help, sample string) *runtimeGauge {
-	g := &runtimeGauge{name: name, help: help, sample: sample}
-	Default.register(g)
-	return g
-}
-
-func (g *runtimeGauge) metricName() string   { return g.name }
-func (g *runtimeGauge) metricLabels() string { return "" }
-func (g *runtimeGauge) metricHelp() string   { return g.help }
-func (g *runtimeGauge) metricType() string   { return "gauge" }
-func (g *runtimeGauge) writeSamples(w *bufio.Writer) {
-	s := []metrics.Sample{{Name: g.sample}}
-	metrics.Read(s)
-	var v float64
-	switch s[0].Value.Kind() {
-	case metrics.KindUint64:
-		v = float64(s[0].Value.Uint64())
-	case metrics.KindFloat64:
-		v = s[0].Value.Float64()
-	default:
-		return // metric unknown to this runtime; expose nothing
+// runtimeUint64 returns a GaugeFunc reader for one uint64
+// runtime/metrics sample.
+func runtimeUint64(sample string) func() float64 {
+	return func() float64 {
+		s := []metrics.Sample{{Name: sample}}
+		metrics.Read(s)
+		return float64(s[0].Value.Uint64())
 	}
-	fmt.Fprintf(w, "%s %s\n", g.name, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // gcPauseBounds are the fixed bounds the runtime's GC pause histogram
@@ -117,12 +96,12 @@ func (h *runtimeHist) writeSamples(w *bufio.Writer) {
 }
 
 var (
-	_ = newRuntimeGauge("ogsa_runtime_goroutines",
+	_ = NewGaugeFunc("ogsa_runtime_goroutines", "",
 		"live goroutines (runtime/metrics, sampled at scrape)",
-		"/sched/goroutines:goroutines")
-	_ = newRuntimeGauge("ogsa_runtime_heap_inuse_bytes",
+		runtimeUint64("/sched/goroutines:goroutines"))
+	_ = NewGaugeFunc("ogsa_runtime_heap_inuse_bytes", "",
 		"bytes of heap occupied by live objects plus unswept spans",
-		"/memory/classes/heap/objects:bytes")
+		runtimeUint64("/memory/classes/heap/objects:bytes"))
 	_ = newRuntimeHist("ogsa_runtime_gc_pause_seconds",
 		"stop-the-world GC pause durations, re-bucketed from runtime/metrics",
 		"/gc/pauses:seconds", gcPauseBounds)

@@ -48,10 +48,9 @@ func TestTrustCacheSteadyStateZeroChainVerifications(t *testing.T) {
 // per message even when the certificate is cache-hot.
 func TestTrustCacheExpiredTimestampStillRejected(t *testing.T) {
 	ca, _ := pki(t)
-	v := NewVerifier(ca.Pool())
 	// Keep the cache entry alive under the advanced clock below: the
 	// TTL must not be what rejects the message.
-	v.CacheTTL = time.Hour
+	v := newVerifierWithCache(ca.Pool(), time.Hour, DefaultTrustCacheSize)
 	// Warm the cache with a fresh message.
 	if _, err := v.Verify(reparse(t, signedEnvelope(t))); err != nil {
 		t.Fatal(err)
@@ -115,11 +114,10 @@ func TestTrustCacheRootPoolChangeInvalidates(t *testing.T) {
 	}
 }
 
-// TestTrustCacheTTLExpiry: entries stop serving after CacheTTL.
+// TestTrustCacheTTLExpiry: entries stop serving after the cache TTL.
 func TestTrustCacheTTLExpiry(t *testing.T) {
 	ca, _ := pki(t)
-	v := NewVerifier(ca.Pool())
-	v.CacheTTL = time.Minute
+	v := newVerifierWithCache(ca.Pool(), time.Minute, DefaultTrustCacheSize)
 	base := time.Now()
 	v.Now = func() time.Time { return base }
 	if _, err := v.Verify(reparse(t, signedEnvelope(t))); err != nil {
@@ -141,28 +139,11 @@ func TestTrustCacheTTLExpiry(t *testing.T) {
 	}
 }
 
-// TestTrustCacheDisabled: a negative TTL turns memoization off.
-func TestTrustCacheDisabled(t *testing.T) {
-	ca, _ := pki(t)
-	v := NewVerifier(ca.Pool())
-	v.CacheTTL = -1
-	for i := 0; i < 3; i++ {
-		if _, err := v.Verify(reparse(t, signedEnvelope(t))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := v.CacheStats()
-	if st.ChainVerifications != 3 || st.Entries != 0 {
-		t.Fatalf("stats = %+v, want 3 verifications and 0 entries", st)
-	}
-}
-
-// TestTrustCacheEntryCap: the cache never exceeds CacheSize distinct
+// TestTrustCacheEntryCap: the cache never exceeds its size cap in distinct
 // certificates.
 func TestTrustCacheEntryCap(t *testing.T) {
 	ca, _ := pki(t)
-	v := NewVerifier(ca.Pool())
-	v.CacheSize = 2
+	v := newVerifierWithCache(ca.Pool(), DefaultTrustTTL, 2)
 	for _, cn := range []string{"CN=u1", "CN=u2", "CN=u3"} {
 		id, err := ca.Issue(cn)
 		if err != nil {

@@ -146,7 +146,8 @@ func bodyElement(env *soap.Envelope) *xmlutil.Element {
 	return env.Element().Child(soap.NS, "Body")
 }
 
-// Trust-cache defaults; see Verifier.CacheTTL / Verifier.CacheSize.
+// Trust-cache bounds every NewVerifier gets: how long one chain
+// validation is trusted, and how many distinct certificates are cached.
 const (
 	DefaultTrustTTL       = 5 * time.Minute
 	DefaultTrustCacheSize = 1024
@@ -168,17 +169,15 @@ type trustEntry struct {
 // RSA signature check, timestamp freshness, and reference digests are
 // NEVER cached — they are the paper's measured security cost and they
 // differ per message. Replacing Roots invalidates the cache; entries
-// also expire after CacheTTL and never outlive the certificate.
+// also expire after DefaultTrustTTL and never outlive the certificate.
+// Build Verifiers with NewVerifier, which sets the cache bounds.
 type Verifier struct {
 	Roots *x509.CertPool
 	// Now allows tests to pin the clock; nil means time.Now.
 	Now func() time.Time
-	// CacheTTL bounds how long one chain validation is trusted.
-	// 0 means DefaultTrustTTL; negative disables the cache.
-	CacheTTL time.Duration
-	// CacheSize caps distinct cached certificates (0 means
-	// DefaultTrustCacheSize). The cache evicts arbitrarily beyond it.
-	CacheSize int
+
+	cacheTTL  time.Duration
+	cacheSize int // the cache evicts arbitrarily beyond it
 
 	mu         sync.Mutex
 	trust      map[[sha256.Size]byte]trustEntry
@@ -197,7 +196,16 @@ var (
 )
 
 // NewVerifier returns a Verifier trusting the given roots.
-func NewVerifier(roots *x509.CertPool) *Verifier { return &Verifier{Roots: roots} }
+func NewVerifier(roots *x509.CertPool) *Verifier {
+	return newVerifierWithCache(roots, DefaultTrustTTL, DefaultTrustCacheSize)
+}
+
+// newVerifierWithCache is the test seam for exercising trust-cache
+// expiry and eviction without waiting minutes or minting thousands of
+// certificates.
+func newVerifierWithCache(roots *x509.CertPool, ttl time.Duration, size int) *Verifier {
+	return &Verifier{Roots: roots, cacheTTL: ttl, cacheSize: size}
+}
 
 // TrustCacheStats reports cache effectiveness for tests and metrics.
 type TrustCacheStats struct {
@@ -231,21 +239,19 @@ func (v *Verifier) now() time.Time {
 func (v *Verifier) trustedCert(der []byte) (*x509.Certificate, error) {
 	key := sha256.Sum256(der)
 	now := v.now()
-	if v.CacheTTL >= 0 {
-		v.mu.Lock()
-		// A swapped root pool (rotation, revocation) orphans every
-		// cached trust derivation.
-		if v.trustRoots != v.Roots {
-			v.trust = nil
-			v.trustRoots = v.Roots
-		}
-		if e, ok := v.trust[key]; ok && now.Before(e.expires) {
-			v.mu.Unlock()
-			trustCacheHitsTotal.Inc()
-			return e.cert, nil
-		}
-		v.mu.Unlock()
+	v.mu.Lock()
+	// A swapped root pool (rotation, revocation) orphans every cached
+	// trust derivation.
+	if v.trustRoots != v.Roots {
+		v.trust = nil
+		v.trustRoots = v.Roots
 	}
+	if e, ok := v.trust[key]; ok && now.Before(e.expires) {
+		v.mu.Unlock()
+		trustCacheHitsTotal.Inc()
+		return e.cert, nil
+	}
+	v.mu.Unlock()
 
 	cert, err := x509.ParseCertificate(der)
 	if err != nil {
@@ -259,22 +265,10 @@ func (v *Verifier) trustedCert(der []byte) (*x509.Certificate, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("wssec: untrusted certificate: %w", err)
 	}
-	if v.CacheTTL < 0 {
-		return cert, nil
-	}
-
-	ttl := v.CacheTTL
-	if ttl == 0 {
-		ttl = DefaultTrustTTL
-	}
-	expires := now.Add(ttl)
+	expires := now.Add(v.cacheTTL)
 	// Trust must not outlive the certificate itself.
 	if cert.NotAfter.Before(expires) {
 		expires = cert.NotAfter
-	}
-	capacity := v.CacheSize
-	if capacity <= 0 {
-		capacity = DefaultTrustCacheSize
 	}
 	v.mu.Lock()
 	if v.trustRoots == v.Roots {
@@ -285,7 +279,7 @@ func (v *Verifier) trustedCert(der []byte) (*x509.Certificate, error) {
 		// certificate, so churn here means more distinct clients than
 		// capacity, not a hot/cold working set worth LRU bookkeeping.
 		for k := range v.trust {
-			if len(v.trust) < capacity {
+			if len(v.trust) < v.cacheSize {
 				break
 			}
 			delete(v.trust, k)

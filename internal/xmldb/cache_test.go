@@ -33,30 +33,6 @@ func (c *countingBackend) Get(col, id string) ([]byte, bool, error) {
 	return c.Backend.Get(col, id)
 }
 
-// TestQueryReusesParsedDocuments pins the cache's core promise:
-// repeated queries over an unchanged collection parse each document
-// exactly once.
-func TestQueryReusesParsedDocuments(t *testing.T) {
-	db := NewMemory(CostModel{})
-	for i := 0; i < 8; i++ {
-		if err := db.Create("c", id(i), counterDoc(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for round := 0; round < 5; round++ {
-		hits, err := db.Query("c", "/Counter")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hits) != 8 {
-			t.Fatalf("round %d: hits = %d", round, len(hits))
-		}
-	}
-	if s := db.Stats(); s.Parses != 8 {
-		t.Fatalf("parses = %d, want 8 (one per document across 5 query rounds)", s.Parses)
-	}
-}
-
 // TestGetReusesParsedDocument: repeated Gets of an unchanged document
 // parse once but still count as reads.
 func TestGetReusesParsedDocument(t *testing.T) {
@@ -140,63 +116,31 @@ func TestCachedGetReturnsPrivateClone(t *testing.T) {
 	if counterValue(t, second) != 5 {
 		t.Fatal("caller mutation leaked into the document cache")
 	}
-	// Same for Query matches.
-	hits, err := db.Query("c", "/Counter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits[0].Matches[0].ChildLocal("Value").SetText("888")
-	third, err := db.Get("c", "1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counterValue(t, third) != 5 {
-		t.Fatal("query-match mutation leaked into the document cache")
-	}
 }
 
-// TestCachedQueryStillChargesCostModel: the cache removes parse work,
+// TestCachedGetStillChargesCostModel: the cache removes parse work,
 // never modeled Xindice latency — the figure shapes depend on it.
-func TestCachedQueryStillChargesCostModel(t *testing.T) {
+func TestCachedGetStillChargesCostModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	const queryCost = 25 * time.Millisecond
-	db := NewMemory(CostModel{Query: queryCost})
+	const readCost = 25 * time.Millisecond
+	db := NewMemory(CostModel{Read: readCost})
 	if err := db.Create("c", "1", counterDoc(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("c", "/Counter"); err != nil { // warm
+	if _, err := db.Get("c", "1"); err != nil { // warm
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := db.Query("c", "/Counter"); err != nil { // cache-hot
+	if _, err := db.Get("c", "1"); err != nil { // cache-hot
 		t.Fatal(err)
 	}
-	if hot := time.Since(start); hot < queryCost {
-		t.Fatalf("cache-hot query took %v, want >= %v (cost model must still apply)", hot, queryCost)
+	if hot := time.Since(start); hot < readCost {
+		t.Fatalf("cache-hot get took %v, want >= %v (cost model must still apply)", hot, readCost)
 	}
-	if s := db.Stats(); s.Queries != 2 {
-		t.Fatalf("queries = %d, want 2 (cache hits still count)", s.Queries)
-	}
-}
-
-// TestMalformedQueryDoesNotPolluteStats: compilation happens before
-// the operation is counted or the modeled latency charged.
-func TestMalformedQueryDoesNotPolluteStats(t *testing.T) {
-	db := NewMemory(CostModel{Query: 250 * time.Millisecond})
-	start := time.Now()
-	if _, err := db.Query("c", "///"); err == nil {
-		t.Fatal("malformed expression accepted")
-	}
-	if took := time.Since(start); took > 100*time.Millisecond {
-		t.Fatalf("malformed query paid modeled latency (%v)", took)
-	}
-	if s := db.Stats(); s.Queries != 0 {
-		t.Fatalf("queries = %d, want 0 (compile failures are not operations)", s.Queries)
-	}
-	if s := db.CollectionStats("c"); s.Queries != 0 {
-		t.Fatalf("collection queries = %d, want 0", s.Queries)
+	if s := db.Stats(); s.Reads != 2 || s.Parses != 1 {
+		t.Fatalf("stats = %+v, want 2 reads and 1 parse (cache hits still count)", s)
 	}
 }
 
@@ -213,10 +157,21 @@ func TestPerDocumentInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the cache: every document parsed exactly once.
-	if _, err := db.Query("c", "/Counter"); err != nil {
-		t.Fatal(err)
+	// scan reads every live document once.
+	scan := func() {
+		t.Helper()
+		ids, err := db.IDs("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, docID := range ids {
+			if _, err := db.Get("c", docID); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
+	// Warm the cache: every document parsed exactly once.
+	scan()
 	if p := db.CollectionStats("c").Parses; p != docs {
 		t.Fatalf("warm parses = %d, want %d", p, docs)
 	}
@@ -228,9 +183,7 @@ func TestPerDocumentInvalidation(t *testing.T) {
 	if _, err := db.Get("c", id(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("c", "/Counter"); err != nil {
-		t.Fatal(err)
-	}
+	scan()
 	if p := db.CollectionStats("c").Parses; p != docs+1 {
 		t.Fatalf("parses after single-doc update = %d, want %d (only the updated doc re-parses)", p, docs+1)
 	}
@@ -248,9 +201,7 @@ func TestPerDocumentInvalidation(t *testing.T) {
 	if err := db.Delete("c", id(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("c", "/Counter"); err != nil {
-		t.Fatal(err)
-	}
+	scan()
 	if p := db.CollectionStats("c").Parses; p != docs+1 {
 		t.Fatalf("parses after delete = %d, want %d (deleting one doc re-parses nothing)", p, docs+1)
 	}
@@ -264,7 +215,7 @@ func TestClockEvictionKeepsHotDocuments(t *testing.T) {
 	// One-entry stripes (cap 16 over 16 stripes) would make every fill
 	// an eviction; use a cap that gives each stripe a few slots and
 	// drive enough documents through one collection to overflow them.
-	db := newWithCacheCaps(NewMemoryBackend(), CostModel{}, 32, 16)
+	db := newWithCacheCap(NewMemoryBackend(), CostModel{}, 32)
 	const hot = "hot-doc"
 	if err := db.Create("c", hot, counterDoc(1)); err != nil {
 		t.Fatal(err)
@@ -361,5 +312,14 @@ func TestCondPutSkipsPreRead(t *testing.T) {
 	}
 	if be.gets.Load() != 0 {
 		t.Fatalf("backend gets = %d, want 0 (existence probes must use CondPut/CondDelete)", be.gets.Load())
+	}
+}
+
+// TestKeyHashSeparatesCollectionFromID: (collection, id) pairs whose
+// concatenations collide must still hash apart, so they spread over
+// different stripes.
+func TestKeyHashSeparatesCollectionFromID(t *testing.T) {
+	if keyHash("ab", "c") == keyHash("a", "bc") {
+		t.Fatal("keyHash does not separate collection from id")
 	}
 }

@@ -17,9 +17,11 @@ import (
 // tracing is off.
 
 // dbOp wraps one operation in its span and the storage histogram.
+// name is the full span name, a constant: building it per call would
+// allocate even with observability off.
 func dbOp(ctx context.Context, name, collection string, fn func() error) error {
 	t0 := obs.Start()
-	span := obs.ChildSpan(ctx, "xmldb."+name)
+	span := obs.ChildSpan(ctx, name)
 	span.SetAttr("collection", collection)
 	err := fn()
 	obs.StageStorage.ObserveSinceSpan(t0, span)
@@ -30,13 +32,13 @@ func dbOp(ctx context.Context, name, collection string, fn func() error) error {
 
 // CreateContext is Create traced under ctx's request span.
 func (db *DB) CreateContext(ctx context.Context, collection, id string, doc *xmlutil.Element) error {
-	return dbOp(ctx, "create", collection, func() error { return db.Create(collection, id, doc) })
+	return dbOp(ctx, "xmldb.create", collection, func() error { return db.Create(collection, id, doc) })
 }
 
 // GetContext is Get traced under ctx's request span.
 func (db *DB) GetContext(ctx context.Context, collection, id string) (*xmlutil.Element, error) {
 	var doc *xmlutil.Element
-	err := dbOp(ctx, "get", collection, func() error {
+	err := dbOp(ctx, "xmldb.get", collection, func() error {
 		var e error
 		doc, e = db.Get(collection, id)
 		return e
@@ -46,23 +48,23 @@ func (db *DB) GetContext(ctx context.Context, collection, id string) (*xmlutil.E
 
 // UpdateContext is Update traced under ctx's request span.
 func (db *DB) UpdateContext(ctx context.Context, collection, id string, doc *xmlutil.Element) error {
-	return dbOp(ctx, "update", collection, func() error { return db.Update(collection, id, doc) })
+	return dbOp(ctx, "xmldb.update", collection, func() error { return db.Update(collection, id, doc) })
 }
 
 // PutContext is Put traced under ctx's request span.
 func (db *DB) PutContext(ctx context.Context, collection, id string, doc *xmlutil.Element) error {
-	return dbOp(ctx, "put", collection, func() error { return db.Put(collection, id, doc) })
+	return dbOp(ctx, "xmldb.put", collection, func() error { return db.Put(collection, id, doc) })
 }
 
 // DeleteContext is Delete traced under ctx's request span.
 func (db *DB) DeleteContext(ctx context.Context, collection, id string) error {
-	return dbOp(ctx, "delete", collection, func() error { return db.Delete(collection, id) })
+	return dbOp(ctx, "xmldb.delete", collection, func() error { return db.Delete(collection, id) })
 }
 
 // ExistsContext is Exists traced under ctx's request span.
 func (db *DB) ExistsContext(ctx context.Context, collection, id string) (bool, error) {
 	var ok bool
-	err := dbOp(ctx, "exists", collection, func() error {
+	err := dbOp(ctx, "xmldb.exists", collection, func() error {
 		var e error
 		ok, e = db.Exists(collection, id)
 		return e
@@ -73,21 +75,10 @@ func (db *DB) ExistsContext(ctx context.Context, collection, id string) (bool, e
 // IDsContext is IDs traced under ctx's request span.
 func (db *DB) IDsContext(ctx context.Context, collection string) ([]string, error) {
 	var ids []string
-	err := dbOp(ctx, "ids", collection, func() error {
+	err := dbOp(ctx, "xmldb.ids", collection, func() error {
 		var e error
 		ids, e = db.IDs(collection)
 		return e
 	})
 	return ids, err
-}
-
-// QueryContext is Query traced under ctx's request span.
-func (db *DB) QueryContext(ctx context.Context, collection, expr string) ([]QueryHit, error) {
-	var hits []QueryHit
-	err := dbOp(ctx, "query", collection, func() error {
-		var e error
-		hits, e = db.Query(collection, expr)
-		return e
-	})
-	return hits, err
 }
