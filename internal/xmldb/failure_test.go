@@ -110,9 +110,14 @@ func TestGetCorruptDocument(t *testing.T) {
 	if err := be.Put("c", "bad", []byte("not xml at all")); err != nil {
 		t.Fatal(err)
 	}
+	if err := be.Put("c", "truncated", []byte("<unclosed")); err != nil {
+		t.Fatal(err)
+	}
 	db := New(be, CostModel{})
-	if _, err := db.Get("c", "bad"); err == nil || !strings.Contains(err.Error(), "corrupt document") {
-		t.Fatalf("err = %v, want a corrupt-document error", err)
+	for _, id := range []string{"bad", "truncated"} {
+		if _, err := db.Get("c", id); err == nil || !strings.Contains(err.Error(), "corrupt document") {
+			t.Fatalf("Get(%q) err = %v, want a corrupt-document error", id, err)
+		}
 	}
 }
 
